@@ -127,51 +127,59 @@ def _extended(targets, blank):
 
 
 def _forward_backward(log_probs: np.ndarray, targets, blank: int):
-    """Log-space alpha/beta recursions; returns (loss, dloss/dlog_probs)."""
+    """Log-space alpha/beta recursions; returns (loss, dloss/dlog_probs).
+
+    Alpha rows and the beta step buffer carry two -inf pad columns, so
+    every shifted read is a slice and every frame is a few ufuncs writing
+    into preallocated rows. The gradient is the state
+    occupancy exp(alpha + beta - log p) folded onto labels by a
+    states x labels one-hot product.
+    """
     t_len, n_classes = log_probs.shape
     ext = _extended(targets, blank)
     s_len = ext.size
     emit = log_probs[:, ext]  # T x S
     can_skip = np.zeros(s_len, dtype=bool)
     can_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-
     neg_inf = -np.inf
-    alpha = np.full((t_len, s_len), neg_inf)
-    alpha[0, 0] = emit[0, 0]
-    if s_len > 1:
-        alpha[0, 1] = emit[0, 1]
-    for t in range(1, t_len):
-        prev = alpha[t - 1]
-        acc = np.logaddexp(prev, np.concatenate(([neg_inf], prev[:-1])))
-        skip = np.concatenate(([neg_inf, neg_inf], prev[:-2]))
-        acc = np.where(can_skip, np.logaddexp(acc, skip), acc)
-        alpha[t] = acc + emit[t]
+    skip_in = np.where(can_skip, 0.0, neg_inf)  # s-2 -> s allowed
+    skip_out = np.full(s_len, neg_inf)  # s -> s+2 allowed
+    skip_out[:-2] = skip_in[2:]
+    buf = np.empty(s_len)
 
-    log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2]) if s_len > 1 else alpha[-1, -1]
+    alpha = np.full((t_len, s_len + 2), neg_inf)  # state s in column s+2
+    alpha[0, 2:4] = emit[0, :2]  # targets are nonempty, so S >= 3
+    for t in range(1, t_len):
+        prev, cur = alpha[t - 1], alpha[t, 2:]
+        np.logaddexp(prev[2:], prev[1:-1], out=cur)
+        np.add(prev[:-2], skip_in, out=buf)
+        np.logaddexp(cur, buf, out=cur)
+        cur += emit[t]
+
+    log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
     if not np.isfinite(log_p):
         raise CtcInfeasibleError(
             f"no feasible alignment: {t_len} frames for {len(targets)} targets"
         )
 
     beta = np.full((t_len, s_len), neg_inf)
-    beta[-1, -1] = 0.0
-    if s_len > 1:
-        beta[-1, -2] = 0.0
+    beta[-1, -2:] = 0.0
+    nxt = np.full(s_len + 2, neg_inf)  # state s in column s
     for t in range(t_len - 2, -1, -1):
-        nxt = beta[t + 1] + emit[t + 1]
-        acc = np.logaddexp(nxt, np.concatenate((nxt[1:], [neg_inf])))
-        skip = np.concatenate((nxt[2:], [neg_inf, neg_inf]))
-        skip = np.where(np.concatenate((can_skip[2:], [False, False])), skip, neg_inf)
-        beta[t] = np.logaddexp(acc, skip)
+        cur = beta[t]
+        np.add(beta[t + 1], emit[t + 1], out=nxt[:s_len])
+        np.logaddexp(nxt[:-2], nxt[1:-1], out=cur)
+        np.add(nxt[2:], skip_out, out=buf)
+        np.logaddexp(cur, buf, out=cur)
 
-    gamma = alpha + beta  # log prob of all paths through state s at time t
-    per_label = np.full((t_len, n_classes), neg_inf)
-    rows = np.repeat(np.arange(t_len), s_len)
-    cols = np.tile(ext, t_len)
-    np.logaddexp.at(per_label, (rows, cols), gamma.reshape(-1))
+    occupancy = alpha[:, 2:]
+    occupancy += beta
+    occupancy -= log_p
     with np.errstate(under="ignore"):
-        grad = -np.exp(per_label - log_p)
-    return -log_p, grad
+        np.exp(occupancy, out=occupancy)
+    one_hot = np.zeros((s_len, n_classes))
+    one_hot[np.arange(s_len), ext] = 1.0
+    return -log_p, -(occupancy @ one_hot)
 
 
 def ctc_loss(log_probs, targets, blank: int = BLANK_ID) -> CtcLossResult:

@@ -190,23 +190,25 @@ class LayerParams:
                 yield f.name, t
 
 
-def self_attention_layer(x: tz.Tensor, p: LayerParams, n_heads: int) -> tz.Tensor:
+def self_attention_layer(x: tz.Tensor, p: LayerParams, n_heads: int, lengths=None) -> tz.Tensor:
     """Pre-norm multi-head self-attention + residual, then pre-norm FFN +
-    residual; length-preserving."""
+    residual; length-preserving. ``lengths`` segments packed utterances
+    (attention stays within each; None is one utterance)."""
     h = tz.layer_norm(x, p.ln1_gain, p.ln1_bias)
     q = tz.linear(h, p.wq, p.bq)
     k = tz.linear(h, p.wk, p.bk)
     v = tz.linear(h, p.wv, p.bv)
-    a = tz.multi_head_attention(q, k, v, n_heads)
+    a = tz.multi_head_attention(q, k, v, n_heads, lengths)
     x = tz.add(x, tz.linear(a, p.wo, p.bo))
     f = tz.layer_norm(x, p.ln2_gain, p.ln2_bias)
     f = tz.linear(tz.gelu(tz.linear(f, p.w1, p.b1)), p.w2, p.b2)
     return tz.add(x, f)
 
 
-def cross_attention_layer(probs: tz.Tensor, x: tz.Tensor, p: LayerParams, n_heads: int) -> tz.Tensor:
+def cross_attention_layer(probs: tz.Tensor, x: tz.Tensor, p: LayerParams, n_heads: int, lengths=None) -> tz.Tensor:
     """Cross-attention whose queries are Linear(Linear(posterior probs));
-    keys/values and the residual come from the layer input ``x``."""
+    keys/values and the residual come from the layer input ``x``, segmented
+    by ``lengths`` as in ``self_attention_layer``."""
     if probs.values.shape[0] != x.values.shape[0]:
         raise ConfigError(
             f"posterior length {probs.values.shape[0]} differs from input length {x.values.shape[0]}"
@@ -215,7 +217,7 @@ def cross_attention_layer(probs: tz.Tensor, x: tz.Tensor, p: LayerParams, n_head
     h = tz.layer_norm(x, p.ln1_gain, p.ln1_bias)
     k = tz.linear(h, p.wk, p.bk)
     v = tz.linear(h, p.wv, p.bv)
-    a = tz.multi_head_attention(q, k, v, n_heads)
+    a = tz.multi_head_attention(q, k, v, n_heads, lengths)
     x = tz.add(x, tz.linear(a, p.wo, p.bo))
     f = tz.layer_norm(x, p.ln2_gain, p.ln2_bias)
     f = tz.linear(tz.gelu(tz.linear(f, p.w1, p.b1)), p.w2, p.b2)

@@ -197,6 +197,22 @@ def gradcheck_suite(seed: int = 0) -> dict:
         {"q": qa, "k": ka, "v": va},
     )
 
+    # packed rows of three utterances: block-diagonal attention over ragged
+    # segments, and the per-segment summary-frame splice
+    seg = (2, 4, 3)
+    qr, kr, vr = _rand(rng, 9, 6), _rand(rng, 9, 6), _rand(rng, 9, 6)
+    pq = tz.Tensor(rng.uniform(-1, 1, (9, 6)))
+    checks["multi_head_attention_ragged"] = check_scalar_graph(
+        lambda: tz.sum_all(tz.mul(tz.multi_head_attention(qr, kr, vr, 2, seg), pq)),
+        {"q": qr, "k": kr, "v": vr},
+    )
+
+    xsp = _rand(rng, 9, 4)
+    psp = tz.Tensor(rng.uniform(-1, 1, (12, 4)))
+    checks["segment_splice"] = check_scalar_graph(
+        lambda: tz.sum_all(tz.mul(tz.prepend_row(tz.mean_over_time(xsp, seg), xsp, seg), psp)), {"x": xsp}
+    )
+
     # ctc_loss as a function of unconstrained log-probabilities
     lp = _rand(rng, 5, 4)
     targets = [1, 2]

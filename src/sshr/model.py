@@ -5,6 +5,11 @@ the versioned checkpoint format.
 Layer indices in configs are 1-based. The language-summary frame is the
 mean over time of layer i's output, prepended to the frame sequence, so
 every layer after i (and the final posterior) works on length T+1.
+
+A batch runs as one packed forward: the utterances' frames are stacked
+into a (sum T) x F matrix, every row-wise op runs once over all rows, and
+attention and the splice act per utterance. A single utterance is the
+batch of one.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .ctc import CtcPosterior, Vocabulary, ctc_head, ctc_loss
+from .ctc import CtcPosterior, Vocabulary, ctc_head, ctc_loss, min_frames
 from .encoder import EncoderStack, StackConfig, cross_attention_layer, self_attention_layer
 from .errors import ConfigError, SshrError
 
@@ -117,15 +122,23 @@ def default_model_config(vocab: Vocabulary, feature_dim: int, seed: int = 0) -> 
 
 @dataclass
 class ForwardOutput:
+    """Packed posteriors; the final one holds ``lengths[b]`` rows of
+    utterance b, in batch order."""
+
     final: CtcPosterior
     intermediates: list[CtcPosterior]
-    seq_len: int
+    lengths: tuple[int, ...]
     activations: list[np.ndarray] | None = None
 
+    @property
+    def seq_len(self) -> int:
+        return sum(self.lengths)
 
-def extract_and_splice_lid_frame(x: tz.Tensor) -> tz.Tensor:
-    """Prepend the mean-over-time row, turning T x H into (T+1) x H."""
-    return tz.prepend_row(tz.mean_over_time(x), x)
+
+def extract_and_splice_lid_frame(x: tz.Tensor, lengths=None) -> tz.Tensor:
+    """Prepend each utterance's mean-over-time row, turning its T x H block
+    into (T+1) x H (``lengths`` as in ``tz.mean_over_time``)."""
+    return tz.prepend_row(tz.mean_over_time(x, lengths), x, lengths)
 
 
 def make_targets(transcript, language, cfg: SshrConfig) -> list[int]:
@@ -213,17 +226,22 @@ class SshrModel:
         for t in self.params.values():
             t.zero_grad()
 
-    def _positions(self, length: int) -> np.ndarray:
-        table = self._pos_cache.get(length)
-        if table is None:
-            table = tz.sinusoidal_positions(length, self.cfg.stack.hidden, self.dtype)
-            self._pos_cache[length] = table
-        return table
+    def _positions(self, lengths) -> np.ndarray:
+        tables = []
+        for n in lengths:
+            table = self._pos_cache.get(n)
+            if table is None:
+                table = tz.sinusoidal_positions(n, self.cfg.stack.hidden, self.dtype)
+                self._pos_cache[n] = table
+            tables.append(table)
+        return np.concatenate(tables)
 
-    def forward(self, features: np.ndarray, retain_activations: bool = False) -> ForwardOutput:
-        """Run one utterance; returns posteriors at the final layer and at
-        every tap, plus per-layer activations when asked.
+    def forward(self, features: np.ndarray, retain_activations: bool = False, lengths=None) -> ForwardOutput:
+        """Run packed utterances; returns posteriors at the final layer and
+        at every tap, plus per-layer activations when asked.
 
+        ``features`` stacks the utterances' frames in order, and
+        ``lengths`` gives their frame counts (None: a single utterance).
         Retained activations are the outputs each stage hands onward: index
         0 is the projected-and-positioned input, index d is layer d's
         output (taken before the splice when d is the extraction layer).
@@ -233,11 +251,11 @@ class SshrModel:
             raise ConfigError(
                 f"features must be T x {self.cfg.feature_dim}, got {feats.shape}"
             )
-        t_len = feats.shape[0]
-        if t_len < 1:
-            raise ConfigError("empty utterance")
+        lengths = (feats.shape[0],) if lengths is None else tuple(int(n) for n in lengths)
+        if not lengths or min(lengths) < 1 or sum(lengths) != feats.shape[0]:
+            raise ConfigError(f"utterance lengths {list(lengths)} must be positive and sum to {feats.shape[0]} frames")
         x = tz.linear(tz.Tensor(feats), self.w_in, self.b_in)
-        x = tz.add(x, tz.Tensor(self._positions(t_len)))
+        x = tz.add(x, tz.Tensor(self._positions(lengths)))
         acts = [x.values] if retain_activations else None
         lid_layer = self.cfg.lid_extract_layer
         taps = set(self.cfg.cross_taps)
@@ -248,13 +266,14 @@ class SshrModel:
             try:
                 if spec.kind == "cross_attention":
                     tap = posteriors[spec.source]
-                    x = cross_attention_layer(tz.exp(tap.log_probs), x, lp, heads)
+                    x = cross_attention_layer(tz.exp(tap.log_probs), x, lp, heads, lengths)
                 else:
-                    x = self_attention_layer(x, lp, heads)
+                    x = self_attention_layer(x, lp, heads, lengths)
                 if acts is not None:
                     acts.append(x.values)
                 if lid_layer == pos:
-                    x = extract_and_splice_lid_frame(x)
+                    x = extract_and_splice_lid_frame(x, lengths)
+                    lengths = tuple(n + 1 for n in lengths)
                 if pos in taps:
                     posterior = self._head(x, layer=pos)
                     posteriors[pos] = posterior
@@ -265,9 +284,15 @@ class SshrModel:
         return ForwardOutput(
             final=final,
             intermediates=intermediates,
-            seq_len=x.values.shape[0],
+            lengths=lengths,
             activations=acts,
         )
+
+    def _rows(self, n_frames: int, layer: int) -> int:
+        """Rows of an utterance's posterior at ``layer``: one more once the
+        summary frame has been spliced in."""
+        lid = self.cfg.lid_extract_layer
+        return n_frames + int(lid is not None and layer >= lid)
 
     def targets_for(self, transcript, language) -> list[int]:
         return make_targets(transcript, language, self.cfg)
@@ -286,11 +311,44 @@ class SshrModel:
                 out.append(plain)
         return out
 
+    def feasible(self, n_frames: int, transcript, language) -> bool:
+        """Whether the final posterior and every tap posterior have enough
+        rows to emit their targets; lets a batch drop an utterance before
+        its forward instead of failing inside it."""
+        terms = [(self.depth, self.targets_for(transcript, language))]
+        terms += zip(self.cfg.cross_taps, self.tap_targets_for(transcript, language))
+        return all(min_frames(t) <= self._rows(n_frames, layer) for layer, t in terms)
+
+    def batch_loss(self, batch) -> tz.Tensor:
+        """Mean combined loss of ``(features, transcript, language)``
+        utterances from one packed forward.
+
+        Each utterance's CTC terms read its own row slice of the packed
+        posteriors, so the loss and every gradient equal the mean of the
+        utterances' separate losses up to summation order.
+        """
+        if not batch:
+            raise ConfigError("batch_loss needs at least one utterance")
+        lengths = [np.shape(features)[0] for features, _, _ in batch]
+        out = self.forward(np.concatenate([features for features, _, _ in batch]), lengths=lengths)
+        posteriors = [out.final] + out.intermediates
+        starts = [0] * len(posteriors)
+        total = None
+        for n, (_, transcript, language) in zip(lengths, batch):
+            sliced = []
+            for i, posterior in enumerate(posteriors):
+                stop = starts[i] + self._rows(n, posterior.layer)
+                sliced.append(CtcPosterior(posterior.layer, tz.row_slice(posterior.log_probs, starts[i], stop)))
+                starts[i] = stop
+            term = total_loss(
+                sliced[0], sliced[1:], self.targets_for(transcript, language),
+                self.cfg.loss_weight, self.tap_targets_for(transcript, language),
+            )
+            total = term if total is None else tz.add(total, term)
+        return tz.scale(total, 1.0 / len(batch))
+
     def utterance_loss(self, features, transcript, language) -> tz.Tensor:
-        out = self.forward(features)
-        targets = self.targets_for(transcript, language)
-        tap_targets = self.tap_targets_for(transcript, language)
-        return total_loss(out.final, out.intermediates, targets, self.cfg.loss_weight, tap_targets)
+        return self.batch_loss([(features, transcript, language)])
 
     def decode(self, features) -> list[int]:
         from .ctc import ctc_greedy_decode

@@ -11,6 +11,7 @@ Gradients accumulate into ``.grad`` of every tensor built with
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 
@@ -192,8 +193,10 @@ def linear(x, w, b) -> Tensor:
     if bv.shape != (wv.shape[1],):
         raise ConfigError(f"linear bias shape {bv.shape} does not match output width {wv.shape[1]}")
 
+    x_needs_grad = x._needs_grad  # raw features need no g @ w.T
+
     def backward_fn(g):
-        return g @ wv.T, xv.T @ g, g.sum(axis=0)
+        return (g @ wv.T if x_needs_grad else None), xv.T @ g, g.sum(axis=0)
 
     return _op(xv @ wv + bv, (x, w, b), backward_fn)
 
@@ -319,39 +322,87 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _op(xh * gv + bv, (x, gain, bias), backward_fn)
 
 
-def mean_over_time(x) -> Tensor:
-    """Arithmetic mean of the rows of a T x H matrix; yields an H-vector."""
+def _segments(lengths, n_rows: int, what: str) -> tuple[int, ...]:
+    """Validated per-segment row counts of a packed matrix; ``None`` is one
+    segment holding every row. Kept as Python ints: a numpy call on a few
+    lengths costs microseconds, paid by every op of every B=1 decode."""
+    if lengths is None:
+        return (n_rows,)
+    seg = tuple(int(n) for n in lengths)
+    if not seg or min(seg) < 1 or sum(seg) != n_rows:
+        raise ConfigError(f"{what}: segment lengths {list(seg)} do not partition {n_rows} rows")
+    return seg
+
+
+def _starts(seg) -> list[int]:
+    return list(itertools.accumulate(seg[:-1], initial=0))
+
+
+def row_slice(x, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of a matrix as a view (no copy); the gradient is
+    scattered back into those rows."""
+    x = _as_tensor(x)
+    xv = x.values
+
+    def backward_fn(g):
+        full = np.zeros_like(xv)
+        full[start:stop] = g
+        return (full,)
+
+    return _op(xv[start:stop], (x,), backward_fn)
+
+
+def mean_over_time(x, lengths=None) -> Tensor:
+    """Arithmetic mean of the rows of each segment of a packed (sum T) x H
+    matrix; yields a B x H matrix, or an H-vector when ``lengths`` is None
+    (the whole matrix is one segment)."""
     x = _as_tensor(x)
     xv = x.values
     if xv.ndim != 2 or xv.shape[0] < 1:
         raise ConfigError(f"mean_over_time needs at least one row, got shape {xv.shape}")
-    t = xv.shape[0]
+    seg = _segments(lengths, xv.shape[0], "mean_over_time")
+    counts = np.array(seg, dtype=xv.dtype)[:, None]
+    means = np.add.reduceat(xv, _starts(seg), axis=0) / counts
 
     def backward_fn(g):
-        return (np.broadcast_to(g / t, xv.shape),)
+        return (np.repeat(g.reshape(means.shape) / counts, seg, axis=0),)
 
-    return _op(xv.mean(axis=0), (x,), backward_fn)
+    return _op(means[0] if lengths is None else means, (x,), backward_fn)
 
 
-def prepend_row(row, x) -> Tensor:
-    """Stack an H-vector on top of a T x H matrix, giving (T+1) x H."""
+def prepend_row(row, x, lengths=None) -> Tensor:
+    """Insert row b of a B x H matrix in front of segment b of a packed
+    (sum T) x H matrix, giving (sum T + B) x H. With ``lengths`` None the
+    row is an H-vector and the whole matrix is one segment."""
     row, x = _as_tensor(row), _as_tensor(x)
     rv, xv = row.values, x.values
-    if rv.ndim != 1 or xv.ndim != 2 or rv.shape[0] != xv.shape[1]:
+    rows = rv[None, :] if lengths is None else rv
+    if rows.ndim != 2 or xv.ndim != 2 or rows.shape[1] != xv.shape[1]:
         raise ConfigError(f"prepend_row width mismatch: {rv.shape} onto {xv.shape}")
+    seg = _segments(lengths, xv.shape[0], "prepend_row")
+    if rows.shape[0] != len(seg):
+        raise ConfigError(f"prepend_row needs one row per segment: {rows.shape[0]} rows, {len(seg)} segments")
+    starts = _starts(seg)
+    heads = [start + b for b, start in enumerate(starts)]  # output positions of the inserted rows
+    body = np.ones(xv.shape[0] + len(seg), dtype=bool)
+    body[heads] = False
 
     def backward_fn(g):
-        return g[0], g[1:]
+        return g[heads].reshape(rv.shape), g[body]
 
-    return _op(np.concatenate([rv[None, :], xv], axis=0), (row, x), backward_fn)
+    return _op(np.insert(xv, starts, rows, axis=0), (row, x), backward_fn)
 
 
-def multi_head_attention(q, k, v, n_heads: int) -> Tensor:
+def multi_head_attention(q, k, v, n_heads: int, lengths=None) -> Tensor:
     """Scaled dot-product attention over projected q/k/v of width H.
 
     Heads are split from the feature axis; the output has the query's
-    length and width H. The whole head computation carries one hand-derived
-    gradient rule, which keeps the record short.
+    length and width H. With ``lengths`` the rows are packed utterances and
+    attention stays inside each segment (block-diagonal): ragged segments
+    are padded to B x T_max inside the op with the padded keys masked out,
+    equal ones are reshaped. Without, q may be longer or shorter than k/v.
+    The whole head computation carries one hand-derived gradient rule,
+    which keeps the record short.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qv, kv, vv = q.values, k.values, v.values
@@ -362,32 +413,51 @@ def multi_head_attention(q, k, v, n_heads: int) -> Tensor:
         raise ConfigError(f"attention shapes incompatible: q{qv.shape} k{kv.shape} v{vv.shape}")
     if h % n_heads != 0:
         raise ConfigError(f"width {h} not divisible by {n_heads} heads")
+    if lengths is not None and qv.shape[0] != kv.shape[0]:
+        raise ConfigError(f"packed attention needs as many query as key rows: q{qv.shape} k{kv.shape}")
     d = h // n_heads
-    tq, tk = qv.shape[0], kv.shape[0]
-    qh = qv.reshape(tq, n_heads, d).transpose(1, 0, 2)
-    kh = kv.reshape(tk, n_heads, d).transpose(1, 0, 2)
-    vh = vv.reshape(tk, n_heads, d).transpose(1, 0, 2)
+    seg = _segments(lengths, kv.shape[0], "multi_head_attention")
+    n_seg, t_max = len(seg), max(seg)
+    ragged = min(seg) != t_max
+    if ragged:
+        # padded position of every packed row, and an additive key mask
+        slots = np.concatenate([b * t_max + np.arange(n) for b, n in enumerate(seg)])
+        valid = np.arange(t_max) < np.array(seg)[:, None]
+        key_mask = np.where(valid, 0.0, -np.inf).astype(qv.dtype)[:, None, None, :]
+
+    def split(a, t):
+        if ragged:
+            padded = np.zeros((n_seg * t_max, h), dtype=a.dtype)
+            padded[slots] = a
+            a = padded
+        return a.reshape(n_seg, t, n_heads, d).transpose(0, 2, 1, 3)
+
+    def merge(a, t):
+        a = a.transpose(0, 2, 1, 3).reshape(n_seg * t, h)
+        return a[slots] if ragged else a
+
+    tq = qv.shape[0] if lengths is None else t_max
+    qh, kh, vh = split(qv, tq), split(kv, t_max), split(vv, t_max)
     inv_sqrt_d = 1.0 / math.sqrt(d)
-    scores = (qh @ kh.transpose(0, 2, 1)) * inv_sqrt_d
-    scores -= scores.max(axis=2, keepdims=True)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * inv_sqrt_d
+    if ragged:
+        scores += key_mask
+    scores -= scores.max(axis=3, keepdims=True)
     e = np.exp(scores)
-    attn = e / e.sum(axis=2, keepdims=True)
+    attn = e / e.sum(axis=3, keepdims=True)
     z = attn @ vh
 
     def backward_fn(g):
-        gz = g.reshape(tq, n_heads, d).transpose(1, 0, 2)
-        ga = gz @ vh.transpose(0, 2, 1)
-        gvh = attn.transpose(0, 2, 1) @ gz
-        gs = attn * (ga - (ga * attn).sum(axis=2, keepdims=True))
+        gz = split(g, tq)
+        ga = gz @ vh.transpose(0, 1, 3, 2)
+        gvh = attn.transpose(0, 1, 3, 2) @ gz
+        gs = attn * (ga - (ga * attn).sum(axis=3, keepdims=True))
         gs *= inv_sqrt_d
         gqh = gs @ kh
-        gkh = gs.transpose(0, 2, 1) @ qh
-        gq = gqh.transpose(1, 0, 2).reshape(tq, h)
-        gk = gkh.transpose(1, 0, 2).reshape(tk, h)
-        gv = gvh.transpose(1, 0, 2).reshape(tk, h)
-        return gq, gk, gv
+        gkh = gs.transpose(0, 1, 3, 2) @ qh
+        return merge(gqh, tq), merge(gkh, t_max), merge(gvh, t_max)
 
-    return _op(z.transpose(1, 0, 2).reshape(tq, h), (q, k, v), backward_fn)
+    return _op(merge(z, tq), (q, k, v), backward_fn)
 
 
 def sinusoidal_positions(length: int, width: int, dtype=np.float32) -> np.ndarray:

@@ -3,8 +3,9 @@ metrics, and checkpointing.
 
 Every source of randomness flows from the training seed, so two runs with
 identical configs produce byte-identical checkpoints and metric logs.
-Utterances whose frame count cannot emit their targets are skipped and
-counted, never fatal.
+Each micro-batch is one packed forward/backward. Utterances whose frame
+count cannot emit their targets are left out before the forward and
+counted, never fatal; a step left with no utterance makes no update.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import tensor as tz
 from .datagen import load_split
-from .errors import ConfigError, CtcInfeasibleError
+from .errors import ConfigError
 from .evalkit import evaluate_model
 from .model import SshrConfig, SshrModel
 
@@ -102,6 +103,22 @@ def _batch_stream(utterances, batch_size: int, rng: np.random.Generator):
             yield [utterances[i] for i in order[start : start + batch_size]]
 
 
+def accumulate_gradients(model: SshrModel, micro_batches) -> list[float]:
+    """Add the gradient of one step's loss into the parameters' ``.grad``.
+
+    The step's loss is the mean over the non-empty micro-batches of each
+    one's mean utterance loss, so every backward is seeded with 1/(number
+    of non-empty micro-batches). Returns those micro-batch losses.
+    """
+    filled = [utts for utts in micro_batches if utts]
+    losses = []
+    for utts in filled:
+        loss = model.batch_loss([(u.features, u.transcript, u.lang) for u in utts])
+        tz.backward(loss, seed=np.asarray(1.0 / len(filled), dtype=loss.values.dtype))
+        losses.append(loss.item())
+    return losses
+
+
 def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
     """Run fine-tuning; writes checkpoints and metrics.jsonl into out_dir.
 
@@ -117,7 +134,6 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
     state = AdamState(model.params)
     rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed & 0xFFFFFFFF, 0xA1]))
     batches = _batch_stream(train_utts, min(tcfg.batch_size, len(train_utts)), rng)
-    accum_seed = 1.0 / tcfg.grad_accum
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     skipped = 0
@@ -126,28 +142,18 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
     with open(metrics_path, "w", encoding="utf-8") as metrics_fh:
         for step in range(1, tcfg.steps + 1):
             lr_t = tcfg.lr * min(1.0, step / tcfg.warmup_steps)
-            model.zero_grads()
-            step_losses = []
+            micro_batches = []
             for _ in range(tcfg.grad_accum):
                 batch = next(batches)
-                terms = []
-                for utt in batch:
-                    try:
-                        terms.append(model.utterance_loss(utt.features, utt.transcript, utt.lang))
-                    except CtcInfeasibleError:
-                        skipped += 1
-                if not terms:
-                    continue
-                micro = terms[0]
-                for term in terms[1:]:
-                    micro = tz.add(micro, term)
-                micro = tz.scale(micro, 1.0 / len(terms))
-                tz.backward(micro, seed=np.asarray(accum_seed, dtype=micro.values.dtype))
-                step_losses.append(micro.item())
+                kept = [u for u in batch if model.feasible(u.n_frames, u.transcript, u.lang)]
+                skipped += len(batch) - len(kept)
+                micro_batches.append(kept)
+            model.zero_grads()
+            step_losses = accumulate_gradients(model, micro_batches)
             if step_losses:
                 losses_since_eval.append(sum(step_losses) / len(step_losses))
-            grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
-            adam_step(model.params, grads, state, lr_t)
+                grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
+                adam_step(model.params, grads, state, lr_t)
             if step % tcfg.eval_interval == 0 or step == tcfg.steps:
                 dev = evaluate_model(model, dev_utts)
                 mean_loss = sum(losses_since_eval) / max(1, len(losses_since_eval))

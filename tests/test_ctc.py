@@ -119,6 +119,34 @@ class TestCtcLoss:
         assert np.allclose(res.grad.sum(axis=1), -1.0, atol=1e-9)
 
 
+class TestCtcLossRealisticSize:
+    """Invariants that hold beyond the brute-force oracle's reach (T <= 6):
+    utterance-length inputs over the default 41-token vocabulary."""
+
+    @staticmethod
+    def instance(seed):
+        rng = np.random.default_rng(seed)
+        t = int(rng.integers(30, 81))
+        targets = [int(x) for x in rng.integers(1, 41, size=int(rng.integers(5, t // 2)))]
+        return rand_log_softmax(rng, t, 41), targets
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grad_rows_sum_to_minus_one(self, seed):
+        lp, targets = self.instance(seed)
+        res = ctc_loss(lp, targets)
+        assert np.abs(res.grad.sum(axis=1) + 1.0).max() < 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loss_invariant_under_vocabulary_permutation(self, seed):
+        lp, targets = self.instance(seed)
+        perm = np.concatenate([[0], 1 + np.random.default_rng(100 + seed).permutation(40)])  # blank fixed
+        lp_perm = np.empty_like(lp)
+        lp_perm[:, perm] = lp
+        base = float(ctc_loss(lp, targets).loss.values)
+        permuted = float(ctc_loss(lp_perm, [int(perm[t]) for t in targets]).loss.values)
+        assert abs(permuted - base) <= 1e-12 * abs(base)
+
+
 class TestBruteForce:
     def test_uniform_single_frame(self):
         assert np.isclose(ctc_brute_force(np.full((1, 2), 0.5), [1]), 0.5)

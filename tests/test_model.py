@@ -269,3 +269,74 @@ class TestCheckpoint:
         a = model.forward(feats).final.log_probs.values
         b = clone.forward(feats).final.log_probs.values
         assert np.array_equal(a, b)
+
+
+def _random_batch(rng, model, size):
+    """``size`` feasible utterances with lengths in [2, 80]."""
+    batch = []
+    n_phonemes = len(model.cfg.vocab.phonemes)
+    while len(batch) < size:
+        t = int(rng.integers(2, 81))
+        transcript = [int(p) for p in rng.integers(0, n_phonemes, size=int(rng.integers(1, t // 2 + 1)))]
+        language = model.cfg.vocab.languages[int(rng.integers(len(model.cfg.vocab.languages)))]
+        if model.feasible(t, transcript, language):
+            batch.append((rng.normal(size=(t, model.cfg.feature_dim)), transcript, language))
+    return batch
+
+
+class TestPackedEquivalence:
+    """The packed batch loss against the mean of the B=1 losses, float64."""
+
+    @pytest.mark.parametrize("variant", ["B0", "C1", "C3", "C4"])
+    def test_loss_and_every_gradient_match_per_utterance_mean(self, variant):
+        from sshr.evalkit import apply_variant
+        from sshr.gradcheck import relative_error
+
+        base = default_model_config(tiny_vocab(n_phonemes=6, n_langs=3), 5, seed=4)
+        base["stack"].update({"hidden": 8, "heads": 2, "ffn": 16})
+        model = SshrModel(SshrConfig.from_dict(apply_variant(base, variant)), dtype=np.float64)
+        rng = np.random.default_rng(["B0", "C1", "C3", "C4"].index(variant))
+        for size in (1, int(rng.integers(2, 9)), 8):
+            batch = _random_batch(rng, model, size)
+            model.zero_grads()
+            packed = model.batch_loss(batch)
+            tz.backward(packed)
+            packed_grads = {name: p.grad for name, p in model.params.items()}
+
+            model.zero_grads()
+            separate = 0.0
+            for utt in batch:
+                loss = model.utterance_loss(*utt)
+                tz.backward(loss, seed=np.asarray(1.0 / size))
+                separate += loss.item() / size
+            assert abs(packed.item() - separate) <= 1e-6 * abs(separate)
+            for name, p in model.params.items():
+                assert (packed_grads[name] is None) == (p.grad is None), name
+                if p.grad is not None:
+                    assert relative_error(packed_grads[name], p.grad) <= 1e-6, name
+
+    def test_packed_lengths_follow_length_law(self):
+        cfg = tiny_model_config(depth=4, lid_extract_layer=2, lid_in_targets=True, cross_taps=[3], loss_weight=0.5)
+        model = SshrModel(cfg)
+        frames = (3, 9, 1)
+        feats = np.random.default_rng(0).normal(size=(sum(frames), 4)).astype(np.float32)
+        out = model.forward(feats, retain_activations=True, lengths=frames)
+        assert out.lengths == (4, 10, 2)
+        assert [a.shape[0] for a in out.activations] == [13, 13, 13, 16, 16]  # layer 2 before the splice
+        assert out.intermediates[0].log_probs.values.shape[0] == 16
+
+    def test_lengths_must_partition_rows(self):
+        model = SshrModel(tiny_model_config())
+        with pytest.raises(ConfigError):
+            model.forward(np.zeros((5, 4), np.float32), lengths=(2, 2))
+        with pytest.raises(ConfigError):
+            model.forward(np.zeros((5, 4), np.float32), lengths=(5, 0))
+
+    def test_feasibility_counts_the_spliced_row(self):
+        # 3 phonemes + the language token need 4 rows: 3 frames suffice
+        # only once the summary frame is spliced in
+        spliced = SshrModel(tiny_model_config(lid_extract_layer=1, lid_in_targets=True))
+        plain = SshrModel(tiny_model_config(lid_in_targets=True))
+        assert spliced.feasible(3, [0, 1, 2], "L0")
+        assert not plain.feasible(3, [0, 1, 2], "L0")
+        assert not spliced.feasible(2, [0, 1, 2], "L0")

@@ -99,6 +99,55 @@ class TestMeanOverTime:
             tz.mean_over_time(t64(np.zeros((0, 3))))
 
 
+class TestPackedSegments:
+    def test_mean_and_splice_per_segment(self):
+        x = t64([[0.0, 2.0], [2.0, 4.0], [5.0, 5.0], [1.0, 1.0], [3.0, 0.0], [2.0, 2.0]])
+        means = tz.mean_over_time(x, (2, 1, 3))
+        assert np.array_equal(means.values, [[1.0, 3.0], [5.0, 5.0], [2.0, 1.0]])
+        out = tz.prepend_row(means, x, (2, 1, 3)).values
+        assert np.array_equal(out[[0, 3, 5]], means.values)
+        assert np.array_equal(out[[1, 2, 4, 6, 7, 8]], x.values)
+
+    def test_segments_must_partition_rows(self):
+        x = t64(np.ones((4, 2)))
+        with pytest.raises(ConfigError):
+            tz.mean_over_time(x, (2, 1))
+        with pytest.raises(ConfigError):
+            tz.prepend_row(t64(np.ones((3, 2))), x, (2, 2))
+
+    def test_attention_is_block_diagonal(self):
+        rng = np.random.default_rng(6)
+        seg = (3, 1, 5)
+        q, k, v = (t64(rng.normal(size=(9, 4))) for _ in range(3))
+        packed = tz.multi_head_attention(q, k, v, 2, seg).values
+        start = 0
+        for n in seg:
+            rows = slice(start, start + n)
+            alone = tz.multi_head_attention(t64(q.values[rows]), t64(k.values[rows]), t64(v.values[rows]), 2)
+            assert np.allclose(packed[rows], alone.values, atol=1e-12)
+            start += n
+
+    def test_row_slice_is_a_view_with_scattered_gradient(self):
+        x = t64(np.arange(8.0).reshape(4, 2), requires_grad=True)
+        part = tz.row_slice(x, 1, 3)
+        assert np.shares_memory(part.values, x.values)
+        flow = tz.backward(tz.sum_all(part))
+        assert np.array_equal(flow[x], [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+
+
+class TestLinear:
+    def test_no_input_gradient_for_constant_input(self):
+        rng = np.random.default_rng(8)
+        x = t64(rng.normal(size=(3, 4)))
+        w = t64(rng.normal(size=(4, 2)), requires_grad=True)
+        b = t64(np.zeros(2), requires_grad=True)
+        out = tz.linear(x, w, b)
+        gx, gw, gb = out._backward(np.ones((3, 2)))
+        assert gx is None
+        assert np.allclose(gw, x.values.T @ np.ones((3, 2))) and np.array_equal(gb, [3.0, 3.0])
+        assert tz.linear(t64(x.values, requires_grad=True), w, b)._backward(np.ones((3, 2)))[0] is not None
+
+
 class TestBackward:
     def test_identity(self):
         x = t64([[2.0]], requires_grad=True)

@@ -10,7 +10,7 @@ from sshr.datagen import default_corpus_spec, generate_corpus, load_split
 from sshr.errors import ConfigError
 from sshr.gradcheck import REL_TOL, check_scalar_graph, gradcheck_suite
 from sshr.model import SshrModel
-from sshr.trainer import AdamState, TrainConfig, adam_step, train
+from sshr.trainer import AdamState, TrainConfig, accumulate_gradients, adam_step, train
 
 
 def scalar_params(value):
@@ -67,13 +67,7 @@ class TestGradAccumulation:
             model = SshrModel(cfg, dtype=np.float64)
             state = AdamState(model.params)
             model.zero_grads()
-            for group in groups:
-                terms = [model.utterance_loss(u.features.astype(np.float64), u.transcript, u.lang) for u in group]
-                micro = terms[0]
-                for t in terms[1:]:
-                    micro = tz.add(micro, t)
-                micro = tz.scale(micro, 1.0 / len(terms))
-                tz.backward(micro, seed=np.asarray(1.0 / len(groups), dtype=np.float64))
+            accumulate_gradients(model, groups)
             grads = {n: p.grad for n, p in model.params.items() if p.grad is not None}
             adam_step(model.params, grads, state, lr=1e-3)
             return {n: p.values.copy() for n, p in model.params.items()}
@@ -82,6 +76,22 @@ class TestGradAccumulation:
         concatenated = one_step([utts])
         for name in accumulated:
             assert np.allclose(accumulated[name], concatenated[name], atol=1e-6)
+
+    def test_empty_micro_batch_does_not_rescale(self, small_corpus, small_vocab):
+        utts = load_split(small_corpus, "train")[:3]
+        cfg = tiny_model_config(vocab=small_vocab, depth=2, hidden=8, heads=2, ffn=16, feature_dim=16, seed=3)
+
+        def gradients(groups):
+            model = SshrModel(cfg, dtype=np.float64)
+            model.zero_grads()
+            losses = accumulate_gradients(model, groups)
+            return losses, {n: p.grad for n, p in model.params.items()}
+
+        with_empty, grads_with_empty = gradients([[], utts])
+        alone, grads_alone = gradients([utts])
+        assert with_empty == alone
+        for name, g in grads_alone.items():
+            assert np.array_equal(grads_with_empty[name], g), name
 
 
 class TestTrainLoop:
@@ -122,7 +132,12 @@ class TestTrainLoop:
             losses = [json.loads(l)["loss"] for l in open(summary["metrics"])]
             assert losses[-1] < losses[0]
 
-    def test_infeasible_utterances_skipped_and_counted(self, tmp_path):
+    def test_infeasible_utterances_skipped_and_counted(self, tmp_path, monkeypatch):
+        import sshr.trainer
+
+        adam_calls = []
+        real_adam_step = sshr.trainer.adam_step
+        monkeypatch.setattr(sshr.trainer, "adam_step", lambda *a, **k: adam_calls.append(1) or real_adam_step(*a, **k))
         # T=5 frames but 6 targets once the language token is prepended
         spec = default_corpus_spec(
             seed=13, counts={"train": 3, "dev": 2, "test": 2},
@@ -136,6 +151,10 @@ class TestTrainLoop:
         summary = train(cfg, {"steps": 3, "seed": 13, "batch_size": 2, "eval_interval": 3},
                         tmp_path / "corpus", tmp_path / "run")
         assert summary["skipped_utterances"] == 3 * 2
+        # no utterance was trained, so no Adam step ran or moved the parameters
+        assert adam_calls == []
+        with open(summary["checkpoint"], "rb") as fh:
+            assert fh.read() == SshrModel(cfg).save_bytes()
 
 
 class TestGradcheckSuite:
