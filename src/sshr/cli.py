@@ -15,15 +15,17 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass
 
 from . import __version__
+from .config import Strict, overlay, strict_args, typed
 from .ctc import Vocabulary
-from .datagen import default_corpus_spec, generate_corpus, load_corpus_spec, load_split
+from .datagen import DEFAULT_COUNTS, default_corpus_spec, generate_corpus, load_corpus_spec, load_split
 from .errors import ConfigError, CorruptDataError, SshrError
 from .evalkit import DEFAULT_LADDER, apply_variant, evaluate_model, run_ablation
 from .gradcheck import gradcheck_suite
-from .model import SshrModel, default_model_config
-from .probe import lid_probe, kmeans, mutual_information, probe_all_layers, write_report, collect_layer_data, ProbeReport
+from .model import SshrConfig, SshrModel, default_model_config
+from .probe import probe_all_layers, write_report
 from .trainer import TrainConfig, train
 
 log = logging.getLogger("sshr")
@@ -99,20 +101,49 @@ def _load_json(path):
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # not UTF-8 or not JSON
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
 
 
-def _strict_merge(base: dict, override: dict, context: str) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        if key not in base:
-            raise ConfigError(f"unknown key {context}.{key}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            merged[key] = _strict_merge(base[key], value, f"{context}.{key}")
-        else:
-            merged[key] = value
-    return merged
+@dataclass(frozen=True)
+class _Data(Strict):
+    corpus_dir: str
+
+
+@dataclass(frozen=True)
+class _TrainFile(Strict):
+    """A ``train``/``ablate`` config; the model and train sections are
+    checked once the corpus has supplied the vocabulary."""
+
+    data: _Data
+    model: dict | None = None
+    train: dict | None = None
+
+
+@dataclass(frozen=True)
+class _EvalFile(Strict):
+    checkpoint: str
+    corpus_dir: str
+    split: str = "test"
+
+
+@dataclass(frozen=True)
+class _LadderEntry(Strict):
+    id: str
+    variant: str | None = None
+    model: dict | None = None
+
+
+def _model_config(base: dict, explicit: dict, variant: str | None, where: str) -> SshrConfig:
+    """``base`` with a ladder variant and explicit keys applied. Explicit
+    keys win over the variant's, and the variant derives its layers from
+    the explicit depth."""
+    cfg = overlay(base, explicit)
+    if variant is not None:
+        stack = typed(cfg["stack"], dict, f"{where}.stack")
+        typed(stack["depth"], int, f"{where}.stack.depth")
+        cfg = overlay(apply_variant(cfg, variant), explicit)
+    return SshrConfig.from_dict(cfg, where)
 
 
 def _utc_now() -> str:
@@ -150,36 +181,15 @@ class _Run:
             fh.write("\n")
 
 
-def _resolve_corpus_config(raw: dict | None, seed: int) -> dict:
-    defaults = {
-        "n_languages": 4,
-        "phonemes_per_language": 10,
-        "shared_phonemes": 4,
-        "feature_dim": 16,
-        "noise_sigma": 0.3,
-        "counts": {"train": 200, "dev": 40, "test": 40},
-        "min_phonemes": 10,
-        "max_phonemes": 16,
-        "min_frames_per_phoneme": 3,
-        "max_frames_per_phoneme": 5,
-    }
-    resolved = _strict_merge(defaults, raw or {}, "corpus")
-    resolved["seed"] = seed
-    return resolved
-
-
 def cmd_datagen(args) -> int:
     run = _Run("datagen", args.seed, args.out)
-    raw = _load_json(args.config) if args.config else None
-    resolved = _resolve_corpus_config(raw, args.seed)
-    run.resolved_config = resolved
-    spec_kwargs = dict(resolved)
-    spec = default_corpus_spec(
-        seed=spec_kwargs.pop("seed"),
-        counts=spec_kwargs.pop("counts"),
-        **spec_kwargs,
-    )
-    summary = generate_corpus(spec, args.out)
+    raw = _load_json(args.config) if args.config else {}
+    kwargs = strict_args(default_corpus_spec, raw, "corpus")
+    if "seed" in raw:
+        raise ConfigError("corpus.seed is set by --seed")
+    kwargs["counts"] = {**DEFAULT_COUNTS, **kwargs["counts"]}  # splits left out keep their default
+    run.resolved_config = {**kwargs, "seed": args.seed}
+    summary = generate_corpus(default_corpus_spec(**run.resolved_config), args.out)
     for split in summary["splits"]:
         run.record(os.path.join(args.out, f"manifest.{split}.jsonl"))
         run.record(os.path.join(args.out, f"{split}.feats"))
@@ -190,41 +200,27 @@ def cmd_datagen(args) -> int:
     return 0
 
 
-def _resolve_train_sections(raw: dict, seed: int):
-    known = {"model", "train", "data"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    data = raw.get("data", {})
-    if set(data) - {"corpus_dir"}:
-        raise ConfigError(f"unknown key data.{sorted(set(data) - {'corpus_dir'})[0]}")
-    corpus_dir = data.get("corpus_dir")
-    if not corpus_dir:
-        raise ConfigError("config data.corpus_dir is required")
-    spec = load_corpus_spec(corpus_dir)
-    vocab = Vocabulary(phonemes=spec.phoneme_symbols, languages=spec.language_names)
-    base_model = default_model_config(vocab, spec.feature_dim, seed)
-    model_section = dict(raw.get("model", {}))
-    if "seed" in model_section:
-        raise ConfigError("model.seed is set by --seed")
-    if "vocab" in model_section or "feature_dim" in model_section:
+def _resolve_train_sections(raw, seed: int):
+    cfg = _TrainFile.from_dict(raw, "config")
+    model, train_section = dict(cfg.model or {}), cfg.train or {}
+    if "seed" in model or "seed" in train_section:
+        raise ConfigError("model.seed and train.seed are set by --seed")
+    if "vocab" in model or "feature_dim" in model:
         raise ConfigError("model vocab/feature_dim come from the corpus")
-    variant = model_section.pop("variant", None)
-    model_cfg = _strict_merge(base_model, model_section, "model")
-    if variant is not None:
-        model_cfg = apply_variant(model_cfg, variant)
-    train_section = dict(raw.get("train", {}))
-    if "seed" in train_section:
-        raise ConfigError("train.seed is set by --seed")
-    train_cfg = TrainConfig.from_dict({**train_section, "seed": seed}).to_dict()
-    return model_cfg, train_cfg, corpus_dir
+    spec = load_corpus_spec(cfg.data.corpus_dir)
+    vocab = Vocabulary(phonemes=spec.phoneme_symbols, languages=spec.language_names)
+    base = default_model_config(vocab, spec.feature_dim, seed)
+    variant = typed(model.pop("variant", None), str | None, "model.variant")
+    model_cfg = _model_config(base, model, variant, "model")
+    train_cfg = TrainConfig.from_dict({**train_section, "seed": seed}, "train")
+    return model_cfg, train_cfg, cfg.data.corpus_dir
 
 
 def cmd_train(args) -> int:
     run = _Run("train", args.seed, args.out)
     raw = _load_json(args.config)
     model_cfg, train_cfg, corpus_dir = _resolve_train_sections(raw, args.seed)
-    run.resolved_config = {"model": model_cfg, "train": train_cfg, "data": {"corpus_dir": corpus_dir}}
+    run.resolved_config = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "data": {"corpus_dir": corpus_dir}}
     summary = train(model_cfg, train_cfg, corpus_dir, args.out)
     run.record(summary["checkpoint"])
     run.record(summary["metrics"])
@@ -233,26 +229,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_config(path):
-    raw = _load_json(path)
-    known = {"checkpoint", "corpus_dir", "split"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown eval config keys: {sorted(unknown)}")
-    for key in ("checkpoint", "corpus_dir"):
-        if key not in raw:
-            raise ConfigError(f"eval config requires {key}")
-    return raw["checkpoint"], raw["corpus_dir"], raw.get("split", "test")
-
-
 def cmd_eval(args) -> int:
     run = _Run("eval", args.seed, args.out)
-    checkpoint, corpus_dir, split = _load_eval_config(args.config)
-    run.resolved_config = {"checkpoint": checkpoint, "corpus_dir": corpus_dir, "split": split}
-    model = SshrModel.load(checkpoint)
-    utts = load_split(corpus_dir, split)
+    cfg = _EvalFile.from_dict(_load_json(args.config), "config")
+    run.resolved_config = cfg.to_dict()
+    model = SshrModel.load(cfg.checkpoint)
+    utts = load_split(cfg.corpus_dir, cfg.split)
     scores = evaluate_model(model, utts)
-    payload = {"split": split, "n_utterances": len(utts), **scores}
+    payload = {"split": cfg.split, "n_utterances": len(utts), **scores}
     out_path = os.path.join(args.out, "eval.json")
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
@@ -265,30 +249,13 @@ def cmd_eval(args) -> int:
 
 def cmd_probe(args) -> int:
     run = _Run("probe", args.seed, args.out)
-    checkpoint, corpus_dir, split = _load_eval_config(args.config)
-    model = SshrModel.load(checkpoint)
-    utts = load_split(corpus_dir, split)
+    cfg = _EvalFile.from_dict(_load_json(args.config), "config")
+    model = SshrModel.load(cfg.checkpoint)
+    utts = load_split(cfg.corpus_dir, cfg.split)
     k = args.k if args.k > 0 else 4 * len(model.cfg.vocab.phonemes)
-    run.resolved_config = {
-        "checkpoint": checkpoint, "corpus_dir": corpus_dir, "split": split,
-        "k": k, "layer": args.layer,
-    }
-    if args.layer is None:
-        report = probe_all_layers(model, utts, k=k, seed=args.seed,
-                                  checkpoint_id=checkpoint, probe_set_id=split)
-    else:
-        pooled, frames, lang_labels, frame_labels = collect_layer_data(model, utts)
-        if not 0 <= args.layer <= model.depth:
-            raise ConfigError(f"--layer {args.layer} outside [0, {model.depth}]")
-        d = args.layer
-        acc = lid_probe(pooled[d], lang_labels, split_seed=args.seed)
-        km = kmeans(frames[d], k, seed=args.seed + d)
-        mi = mutual_information(km.assignments, frame_labels)
-        report = ProbeReport(
-            rows=[{"layer": d, "lid_acc": acc, "mi_nats": mi}],
-            metadata={"checkpoint": checkpoint, "probe_set": split, "k": k, "seed": args.seed,
-                      "n_utterances": len(utts)},
-        )
+    run.resolved_config = {**cfg.to_dict(), "k": k, "layer": args.layer}
+    report = probe_all_layers(model, utts, k=k, seed=args.seed, checkpoint_id=cfg.checkpoint,
+                              probe_set_id=cfg.split, layers=None if args.layer is None else [args.layer])
     json_path, csv_path = write_report(report, args.out)
     run.record(json_path)
     run.record(csv_path)
@@ -297,44 +264,34 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def _load_ladder(name_or_path):
+def _load_ladder(name_or_path) -> list[_LadderEntry]:
+    """Ladder entries: variant ids, or objects with an id, an optional
+    variant and optional explicit model keys."""
     if name_or_path == "default":
-        return list(DEFAULT_LADDER)
+        return [_LadderEntry(v, v) for v in DEFAULT_LADDER]
     raw = _load_json(name_or_path)
     if not isinstance(raw, list) or not raw:
         raise ConfigError("ladder file must be a nonempty JSON list")
-    ladder = []
-    for item in raw:
-        if isinstance(item, str):
-            ladder.append(item)
-        elif isinstance(item, dict):
-            unknown = set(item) - {"id", "variant", "model"}
-            if unknown:
-                raise ConfigError(f"unknown ladder entry keys: {sorted(unknown)}")
-            if "id" not in item:
-                raise ConfigError("ladder entries need an 'id'")
-            ladder.append(item)
-        else:
-            raise ConfigError("ladder entries must be strings or objects")
-    return ladder
+    return [
+        _LadderEntry(item, item) if isinstance(item, str) else _LadderEntry.from_dict(item, f"ladder[{i}]")
+        for i, item in enumerate(raw)
+    ]
 
 
 def cmd_ablate(args) -> int:
     run = _Run("ablate", args.seed, args.out)
     raw = _load_json(args.config)
     model_cfg, train_cfg, corpus_dir = _resolve_train_sections(raw, args.seed)
-    ladder_spec = _load_ladder(args.ladder)
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
     seeds = [args.seed + i for i in range(args.seeds)]
-    ladder = []
-    for item in ladder_spec:
-        if isinstance(item, str):
-            ladder.append((item, apply_variant(model_cfg, item)))
-        else:
-            cfg = apply_variant(model_cfg, item["variant"]) if item.get("variant") else dict(model_cfg)
-            cfg = _strict_merge(cfg, item.get("model", {}), f"ladder.{item['id']}.model")
-            ladder.append((item["id"], cfg))
+    base = model_cfg.to_dict()
+    # every entry is checked here, before the first run starts
+    ladder = [
+        (e.id, _model_config(base, e.model or {}, e.variant, f"ladder.{e.id}.model").to_dict())
+        for e in _load_ladder(args.ladder)
+    ]
+    train_cfg = train_cfg.to_dict()
     run.resolved_config = {
         "ladder": [{"id": vid, "model": cfg} for vid, cfg in ladder],
         "train": train_cfg,
@@ -342,7 +299,7 @@ def cmd_ablate(args) -> int:
         "seeds": seeds,
         "jobs": args.jobs,
     }
-    results = run_ablation(ladder, seeds, corpus_dir, args.out, model_cfg, train_cfg, jobs=args.jobs)
+    results = run_ablation(ladder, seeds, corpus_dir, args.out, base, train_cfg, jobs=args.jobs)
     run.record(os.path.join(args.out, "ablation.csv"))
     run.record(os.path.join(args.out, "summary.json"))
     run.finish()

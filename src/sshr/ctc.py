@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tz
+from .config import Strict
 from .errors import ConfigError, CtcInfeasibleError
 
 BLANK_ID = 0
 
 
 @dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Strict):
     """Token id space: blank is 0, phonemes follow, language-id tokens form
     a contiguous tail block."""
 
@@ -75,16 +76,6 @@ class Vocabulary:
 
     def strip_lid(self, tokens) -> list[int]:
         return [t for t in tokens if not self.is_lid(t)]
-
-    def to_dict(self) -> dict:
-        return {"phonemes": list(self.phonemes), "languages": list(self.languages)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Vocabulary":
-        unknown = set(d) - {"phonemes", "languages"}
-        if unknown:
-            raise ConfigError(f"unknown vocabulary keys: {sorted(unknown)}")
-        return cls(tuple(d["phonemes"]), tuple(d["languages"]))
 
 
 @dataclass

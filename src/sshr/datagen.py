@@ -28,14 +28,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Strict
+from .ctc import collapse_frames
 from .errors import ConfigError, CorruptDataError
 
 SPLITS = ("train", "dev", "test")
 MAX_TRANSFORM_CONDITION = 1e6
+DEFAULT_COUNTS = {"train": 200, "dev": 40, "test": 40}  # utterances per language
 
 
 @dataclass(frozen=True)
-class LanguageSpec:
+class LanguageSpec(Strict):
     """One language: inventory, prototypes, affine transform, durations."""
 
     name: str
@@ -51,8 +54,10 @@ class LanguageSpec:
     def __post_init__(self):
         if not self.phoneme_ids:
             raise ConfigError(f"language {self.name!r} has an empty inventory")
-        if self.prototypes.shape[0] != len(self.phoneme_ids):
-            raise ConfigError(f"language {self.name!r}: prototype rows != inventory size")
+        n, f = len(self.phoneme_ids), self.prototypes.shape[-1]
+        shapes = (self.prototypes.shape, self.rotation.shape, self.bias.shape)
+        if f < 1 or shapes != ((n, f), (f, f), (f,)):
+            raise ConfigError(f"language {self.name!r}: prototypes, rotation, bias must be {n}xF, FxF, F; got {shapes}")
         if not (1 <= self.min_phonemes <= self.max_phonemes):
             raise ConfigError(f"language {self.name!r}: bad utterance length bounds")
         if not (1 <= self.min_frames_per_phoneme <= self.max_frames_per_phoneme):
@@ -67,23 +72,27 @@ class LanguageSpec:
 
 
 @dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(Strict):
     feature_dim: int
     phoneme_symbols: tuple[str, ...]
     languages: tuple[LanguageSpec, ...]
     noise_sigma: float
-    counts: dict = field(default_factory=dict)  # split -> utterances per language
+    counts: dict[str, int]  # split -> utterances per language
     seed: int = 0
 
     def __post_init__(self):
         if self.noise_sigma < 0:
             raise ConfigError("noise sigma must be >= 0")
+        if not self.counts:
+            raise ConfigError("counts must name at least one split")
         for split, count in self.counts.items():
             if split not in SPLITS:
                 raise ConfigError(f"unknown split {split!r}")
             if count < 1:
                 raise ConfigError(f"split {split!r} needs at least one utterance per language")
         for lang in self.languages:
+            if lang.prototypes.shape[1] != self.feature_dim:
+                raise ConfigError(f"language {lang.name!r}: F={lang.prototypes.shape[1]} != feature_dim {self.feature_dim}")
             for pid in lang.phoneme_ids:
                 if not 0 <= pid < len(self.phoneme_symbols):
                     raise ConfigError(f"language {lang.name!r}: phoneme id {pid} out of range")
@@ -91,59 +100,6 @@ class CorpusSpec:
     @property
     def language_names(self) -> tuple[str, ...]:
         return tuple(lang.name for lang in self.languages)
-
-    def to_dict(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "phoneme_symbols": list(self.phoneme_symbols),
-            "noise_sigma": self.noise_sigma,
-            "counts": dict(self.counts),
-            "seed": self.seed,
-            "languages": [
-                {
-                    "name": lang.name,
-                    "phoneme_ids": list(lang.phoneme_ids),
-                    "prototypes": lang.prototypes.tolist(),
-                    "rotation": lang.rotation.tolist(),
-                    "bias": lang.bias.tolist(),
-                    "min_phonemes": lang.min_phonemes,
-                    "max_phonemes": lang.max_phonemes,
-                    "min_frames_per_phoneme": lang.min_frames_per_phoneme,
-                    "max_frames_per_phoneme": lang.max_frames_per_phoneme,
-                }
-                for lang in self.languages
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CorpusSpec":
-        known = {"feature_dim", "phoneme_symbols", "noise_sigma", "counts", "seed", "languages"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown corpus keys: {sorted(unknown)}")
-        langs = []
-        for entry in d["languages"]:
-            langs.append(
-                LanguageSpec(
-                    name=entry["name"],
-                    phoneme_ids=tuple(entry["phoneme_ids"]),
-                    prototypes=np.asarray(entry["prototypes"], dtype=np.float64),
-                    rotation=np.asarray(entry["rotation"], dtype=np.float64),
-                    bias=np.asarray(entry["bias"], dtype=np.float64),
-                    min_phonemes=int(entry["min_phonemes"]),
-                    max_phonemes=int(entry["max_phonemes"]),
-                    min_frames_per_phoneme=int(entry["min_frames_per_phoneme"]),
-                    max_frames_per_phoneme=int(entry["max_frames_per_phoneme"]),
-                )
-            )
-        return cls(
-            feature_dim=int(d["feature_dim"]),
-            phoneme_symbols=tuple(d["phoneme_symbols"]),
-            languages=tuple(langs),
-            noise_sigma=float(d["noise_sigma"]),
-            counts={k: int(v) for k, v in d["counts"].items()},
-            seed=int(d["seed"]),
-        )
 
 
 def default_corpus_spec(
@@ -153,7 +109,7 @@ def default_corpus_spec(
     shared_phonemes: int = 4,
     feature_dim: int = 16,
     noise_sigma: float = 0.3,
-    counts=None,
+    counts: dict[str, int] = DEFAULT_COUNTS,
     min_phonemes: int = 10,
     max_phonemes: int = 16,
     min_frames_per_phoneme: int = 3,
@@ -161,9 +117,10 @@ def default_corpus_spec(
 ) -> CorpusSpec:
     """The stock corpus: 4 languages x 10 phonemes with 4 shared, F=16,
     sigma=0.3, 200/40/40 utterances per language."""
+    if min(n_languages, phonemes_per_language, feature_dim) < 1 or shared_phonemes < 0:
+        raise ConfigError("languages, phonemes per language and feature_dim must be positive")
     if shared_phonemes > phonemes_per_language:
         raise ConfigError("shared phonemes cannot exceed the per-language inventory")
-    counts = dict(counts) if counts else {"train": 200, "dev": 40, "test": 40}
     unique = phonemes_per_language - shared_phonemes
     n_phonemes = shared_phonemes + n_languages * unique
     symbols = tuple(f"p{i:02d}" for i in range(n_phonemes))
@@ -196,7 +153,7 @@ def default_corpus_spec(
         phoneme_symbols=symbols,
         languages=tuple(languages),
         noise_sigma=noise_sigma,
-        counts=counts,
+        counts=dict(counts),
         seed=seed,
     )
 
@@ -328,8 +285,11 @@ def _verify_crc(path):
 
 def load_corpus_spec(corpus_dir) -> CorpusSpec:
     path = os.path.join(corpus_dir, "corpus.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        return CorpusSpec.from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return CorpusSpec.from_dict(json.load(fh), "corpus")
+    except ValueError as err:  # not JSON, or a ConfigError naming the bad key
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def load_manifest(manifest_path) -> list[Utterance]:
@@ -371,7 +331,7 @@ def load_manifest(manifest_path) -> list[Utterance]:
             align_cursor[row["feat_file"]] = cursor + n_frames * 2
             alignment = np.frombuffer(align_bytes, dtype="<u2")
             transcript = tuple(symbol_to_id[s] for s in row["transcript"].split())
-            if collapse_alignment(alignment) != list(transcript):
+            if collapse_frames(alignment, blank=-1) != list(transcript):
                 raise CorruptDataError(f"utterance {row['id']}: alignment does not collapse to transcript")
             utterances.append(
                 Utterance(
@@ -392,18 +352,6 @@ def load_split(corpus_dir, split: str) -> list[Utterance]:
     return load_manifest(os.path.join(corpus_dir, f"manifest.{split}.jsonl"))
 
 
-def collapse_alignment(alignment) -> list[int]:
-    """Run-collapse a per-frame phoneme sequence."""
-    out: list[int] = []
-    prev = None
-    for pid in alignment:
-        pid = int(pid)
-        if pid != prev:
-            out.append(pid)
-        prev = pid
-    return out
-
-
 def oracle_transcribe(spec: CorpusSpec, lang_name: str, features: np.ndarray) -> list[int]:
     """Nearest-prototype frame classifier followed by run collapse.
 
@@ -416,4 +364,4 @@ def oracle_transcribe(spec: CorpusSpec, lang_name: str, features: np.ndarray) ->
     realized = lang.realized_prototypes()
     d2 = ((features[:, None, :] - realized[None, :, :]) ** 2).sum(axis=2)
     frame_ids = [lang.phoneme_ids[j] for j in d2.argmin(axis=1)]
-    return collapse_alignment(frame_ids)
+    return collapse_frames(frame_ids, blank=-1)

@@ -22,13 +22,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as tz
+from .config import Strict
 from .errors import ConfigError
 
 SURGERY_KINDS = ("none", "delete_last", "replace_last_with_middle", "random_init_last")
 
 
 @dataclass(frozen=True)
-class Surgery:
+class Surgery(Strict):
     kind: str = "none"
     n: int = 0
 
@@ -40,19 +41,9 @@ class Surgery:
         if self.kind != "none" and self.n < 1:
             raise ConfigError(f"surgery {self.kind!r} needs n >= 1")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "n": self.n}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Surgery":
-        unknown = set(d) - {"kind", "n"}
-        if unknown:
-            raise ConfigError(f"unknown surgery keys: {sorted(unknown)}")
-        return cls(d.get("kind", "none"), int(d.get("n", 0)))
-
 
 @dataclass(frozen=True)
-class StackConfig:
+class StackConfig(Strict):
     depth: int
     hidden: int
     heads: int
@@ -66,34 +57,14 @@ class StackConfig:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if self.surgery.kind != "none" and not 0 <= self.surgery.n < self.depth:
             raise ConfigError(f"surgery n={self.surgery.n} must satisfy 0 <= n < depth={self.depth}")
+        if self.surgery.kind == "replace_last_with_middle" and self.depth < 2 * self.surgery.n:
+            raise ConfigError(f"replace_last_with_middle({self.surgery.n}) needs depth >= {2 * self.surgery.n}")
 
     @property
     def surviving_depth(self) -> int:
         if self.surgery.kind == "delete_last":
             return self.depth - self.surgery.n
         return self.depth
-
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "hidden": self.hidden,
-            "heads": self.heads,
-            "ffn": self.ffn,
-            "surgery": self.surgery.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StackConfig":
-        unknown = set(d) - {"depth", "hidden", "heads", "ffn", "surgery"}
-        if unknown:
-            raise ConfigError(f"unknown stack keys: {sorted(unknown)}")
-        return cls(
-            depth=int(d["depth"]),
-            hidden=int(d["hidden"]),
-            heads=int(d["heads"]),
-            ffn=int(d["ffn"]),
-            surgery=Surgery.from_dict(d.get("surgery", {"kind": "none", "n": 0})),
-        )
 
 
 @dataclass(frozen=True)
@@ -124,8 +95,6 @@ def build_stack(cfg: StackConfig, cross_taps=()) -> list[LayerSpec]:
         inits = [("base", i) for i in range(1, cfg.depth - surgery.n + 1)]
     elif surgery.kind == "replace_last_with_middle":
         n = surgery.n
-        if cfg.depth < 2 * n:
-            raise ConfigError(f"replace_last_with_middle({n}) needs depth >= {2 * n}")
         inits = [("base", i) for i in range(1, cfg.depth - n + 1)]
         inits += [("copy", i) for i in range(cfg.depth - 2 * n + 1, cfg.depth - n + 1)]
     elif surgery.kind == "random_init_last":

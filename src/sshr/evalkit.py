@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .config import overlay
 from .ctc import Vocabulary
 from .errors import ConfigError
 from .model import canonical_json
@@ -33,13 +34,6 @@ REFERENCE_RESULTS = {
     "E3": [("table3", "cv_per", 6.26)],
     "F2": [("table4", "cv_per", 6.13)],
 }
-
-# Published full-scale fine-tuning settings, for context only.
-REFERENCE_FINETUNE_SETTINGS = {
-    "common_voice": {"peak_lr": 5e-5, "steps": 20000, "grad_accum": 4},
-    "ml_superb": {"peak_lr": 3e-5, "steps": 80000, "grad_accum": 4},
-}
-
 
 def edit_distance(a, b) -> int:
     """Levenshtein distance with unit costs (two-row DP)."""
@@ -135,8 +129,15 @@ class ExperimentResult:
     wall_clock_sec: float = field(default=0.0, compare=False)
 
 
-VARIANT_IDS = ("B0", "C1", "C2", "C3", "C4", "D2", "D3", "E1", "E2", "E3", "F2")
 DEFAULT_LADDER = ("B0", "C1", "C2", "C3", "C4")
+# every mechanism off; each variant overrides some of these keys
+_BASELINE = {
+    "stack": {"surgery": {"kind": "none", "n": 0}},
+    "lid_extract_layer": None,
+    "lid_in_targets": False,
+    "cross_taps": [],
+    "loss_weight": 0.0,
+}
 
 
 def apply_variant(model_cfg: dict, variant: str) -> dict:
@@ -146,60 +147,32 @@ def apply_variant(model_cfg: dict, variant: str) -> dict:
     only trims the stack, C3 only adds posterior-query cross-attention
     taps, and C4 combines all three. D2 scores the language token without
     the frame, D3 extracts the frame at a low layer, E1/E2/E3 are the
-    alternative surgeries, F2 is a single tap near the top.
+    alternative surgeries, F2 is a single tap near the top. Layer counts
+    and positions scale from the paper's 24-layer stack to ``depth``.
     """
-    cfg = json.loads(json.dumps(model_cfg))  # deep copy
-    depth = int(cfg["stack"]["depth"])
-    trim = max(1, round(depth * 3 / 24))  # final-layer count, scaled from depth 24
-    lid_layer = max(1, round(depth * 8 / 24))  # extraction layer, scaled from layer 8 of 24
-    full_taps = default_taps(depth)
-    trimmed_taps = default_taps(depth - trim)
-    cfg["stack"]["surgery"] = {"kind": "none", "n": 0}
-    cfg["lid_extract_layer"] = None
-    cfg["lid_in_targets"] = False
-    cfg["cross_taps"] = []
-    cfg["loss_weight"] = 0.0
-    if variant == "B0":
-        return cfg
-    if variant == "C1":
-        cfg["lid_extract_layer"] = lid_layer
-        cfg["lid_in_targets"] = True
-        return cfg
-    if variant == "C2":
-        cfg["stack"]["surgery"] = {"kind": "delete_last", "n": trim}
-        return cfg
-    if variant == "C3":
-        cfg["cross_taps"] = full_taps
-        cfg["loss_weight"] = 0.5
-        return cfg
-    if variant == "C4":
-        cfg["stack"]["surgery"] = {"kind": "delete_last", "n": trim}
-        cfg["lid_extract_layer"] = lid_layer
-        cfg["lid_in_targets"] = True
-        cfg["cross_taps"] = trimmed_taps
-        cfg["loss_weight"] = 0.5
-        return cfg
-    if variant == "D2":
-        cfg["lid_in_targets"] = True
-        return cfg
-    if variant == "D3":
-        cfg["lid_extract_layer"] = max(1, round(depth * 3 / 24))  # low extraction layer
-        cfg["lid_in_targets"] = True
-        return cfg
-    if variant == "F2":
-        cfg["cross_taps"] = default_taps(depth)[-1:]  # single tap near the top
-        cfg["loss_weight"] = 0.5
-        return cfg
-    if variant == "E1":
-        cfg["stack"]["surgery"] = {"kind": "random_init_last", "n": trim}
-        return cfg
-    if variant == "E2":
-        cfg["stack"]["surgery"] = {"kind": "replace_last_with_middle", "n": trim}
-        return cfg
-    if variant == "E3":
-        cfg["stack"]["surgery"] = {"kind": "delete_last", "n": trim + 1}
-        return cfg
-    raise ConfigError(f"unknown ladder variant {variant!r}")
+    depth = model_cfg["stack"]["depth"]
+    trim = max(1, round(depth * 3 / 24))  # final-layer count, scaled from 3 of 24
+    lid = {"lid_extract_layer": max(1, round(depth * 8 / 24)), "lid_in_targets": True}
+
+    def surgery(kind, n):
+        return {"stack": {"surgery": {"kind": kind, "n": n}}}
+
+    overrides = {
+        "B0": {},
+        "C1": lid,
+        "C2": surgery("delete_last", trim),
+        "C3": {"cross_taps": default_taps(depth), "loss_weight": 0.5},
+        "C4": {**surgery("delete_last", trim), **lid, "cross_taps": default_taps(depth - trim), "loss_weight": 0.5},
+        "D2": {"lid_in_targets": True},
+        "D3": {"lid_extract_layer": trim, "lid_in_targets": True},  # low layer, 3 of 24
+        "E1": surgery("random_init_last", trim),
+        "E2": surgery("replace_last_with_middle", trim),
+        "E3": surgery("delete_last", trim + 1),
+        "F2": {"cross_taps": default_taps(depth)[-1:], "loss_weight": 0.5},  # single tap near the top
+    }
+    if variant not in overrides:
+        raise ConfigError(f"unknown ladder variant {variant!r}")
+    return overlay(overlay(model_cfg, _BASELINE), overrides[variant])
 
 
 def default_taps(depth: int) -> list[int]:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
+from .config import Strict
 from .ctc import CtcPosterior, Vocabulary, ctc_head, ctc_loss, min_frames
 from .encoder import EncoderStack, StackConfig, cross_attention_layer, self_attention_layer
 from .errors import ConfigError, SshrError
@@ -35,7 +36,7 @@ def canonical_json(obj) -> str:
 
 
 @dataclass(frozen=True)
-class SshrConfig:
+class SshrConfig(Strict):
     """Everything needed to rebuild a model bit-for-bit."""
 
     stack: StackConfig
@@ -66,38 +67,8 @@ class SshrConfig:
                 )
             if not self.lid_in_targets:
                 raise ConfigError("lid_extract_layer requires lid_in_targets")
-
-    def to_dict(self) -> dict:
-        return {
-            "stack": self.stack.to_dict(),
-            "feature_dim": self.feature_dim,
-            "vocab": self.vocab.to_dict(),
-            "lid_extract_layer": self.lid_extract_layer,
-            "lid_in_targets": self.lid_in_targets,
-            "cross_taps": list(self.cross_taps),
-            "loss_weight": self.loss_weight,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SshrConfig":
-        known = {
-            "stack", "feature_dim", "vocab", "lid_extract_layer",
-            "lid_in_targets", "cross_taps", "loss_weight", "seed",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(
-            stack=StackConfig.from_dict(d["stack"]),
-            feature_dim=int(d["feature_dim"]),
-            vocab=Vocabulary.from_dict(d["vocab"]),
-            lid_extract_layer=None if d.get("lid_extract_layer") is None else int(d["lid_extract_layer"]),
-            lid_in_targets=bool(d.get("lid_in_targets", False)),
-            cross_taps=tuple(d.get("cross_taps", ())),
-            loss_weight=float(d.get("loss_weight", 0.0)),
-            seed=int(d.get("seed", 0)),
-        )
+        if taps and (taps[0] < 2 or taps[-1] > depth - 1):
+            raise ConfigError(f"cross taps {list(taps)} outside [2, {depth - 1}]: a tap feeds the layer above it")
 
 
 def default_model_config(vocab: Vocabulary, feature_dim: int, seed: int = 0) -> dict:
@@ -188,9 +159,6 @@ class SshrModel:
         self.dtype = dtype
         vocab_size = cfg.vocab.size
         self.stack = EncoderStack(cfg.stack, cfg.cross_taps, vocab_size, cfg.seed, dtype)
-        depth = self.stack.depth
-        if cfg.lid_extract_layer is not None and cfg.lid_extract_layer >= depth:
-            raise ConfigError("lid_extract_layer outside the post-surgery stack")
         from .encoder import _init_weight  # same init streams as the stack
 
         h = cfg.stack.hidden

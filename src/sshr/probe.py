@@ -251,11 +251,17 @@ class ProbeReport:
         return {"rows": self.rows, "metadata": self.metadata}
 
 
-def probe_all_layers(model, utterances, k: int, seed: int, checkpoint_id: str = "", probe_set_id: str = "") -> ProbeReport:
-    """LID accuracy and cluster/phoneme MI at every depth, layer 0 included."""
+def probe_all_layers(model, utterances, k: int, seed: int, checkpoint_id: str = "", probe_set_id: str = "",
+                     layers=None) -> ProbeReport:
+    """LID accuracy and cluster/phoneme MI at each depth in ``layers``
+    (default: every depth, layer 0 included)."""
+    layers = range(model.depth + 1) if layers is None else list(layers)
+    for d in layers:
+        if not 0 <= d <= model.depth:
+            raise ConfigError(f"layer {d} outside [0, {model.depth}]")
     pooled, frames, lang_labels, frame_labels = collect_layer_data(model, utterances)
     rows = []
-    for d in range(model.depth + 1):
+    for d in layers:
         acc = lid_probe(pooled[d], lang_labels, split_seed=seed)
         km = kmeans(frames[d], k, seed=seed + d)
         mi = mutual_information(km.assignments, frame_labels)

@@ -14,11 +14,12 @@ import json
 import os
 import time
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tz
+from .config import Strict
 from .datagen import load_split
 from .errors import ConfigError
 from .evalkit import evaluate_model
@@ -26,7 +27,7 @@ from .model import SshrConfig, SshrModel
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Strict):
     steps: int = 2000
     lr: float = 1e-3
     warmup_steps: int = 100
@@ -44,17 +45,6 @@ class TrainConfig:
                 raise ConfigError(f"train config {name} must be positive")
         if self.grad_accum < 1:
             raise ConfigError("grad_accum must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 class AdamState:
@@ -122,8 +112,9 @@ def accumulate_gradients(model: SshrModel, micro_batches) -> list[float]:
 def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
     """Run fine-tuning; writes checkpoints and metrics.jsonl into out_dir.
 
-    Returns a summary with the final checkpoint path, last dev metrics, and
-    the count of skipped infeasible utterances.
+    Returns a summary with the final checkpoint path, last dev metrics (and
+    the unrounded final dev scores), and the count of skipped infeasible
+    utterances.
     """
     cfg = model_cfg if isinstance(model_cfg, SshrConfig) else SshrConfig.from_dict(model_cfg)
     tcfg = train_cfg if isinstance(train_cfg, TrainConfig) else TrainConfig.from_dict(train_cfg)
@@ -175,17 +166,18 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
         "metrics": metrics_path,
         "skipped_utterances": skipped,
         "last_eval": last_eval,
+        "dev": dev if tcfg.steps else evaluate_model(model, dev_utts),
         "steps": tcfg.steps,
     }
 
 
 def run_single_experiment(model_cfg: dict, train_cfg: dict, corpus_dir, run_dir) -> dict:
-    """Train one configuration, then score dev and test; the unit of work
-    the ablation ladder fans out."""
+    """Train one configuration, then score test (dev was scored at the
+    final step); the unit of work the ablation ladder fans out."""
     started = time.perf_counter()
     summary = train(model_cfg, train_cfg, corpus_dir, run_dir)
     model = SshrModel.load(summary["checkpoint"])
-    dev = evaluate_model(model, load_split(corpus_dir, "dev"))
+    dev = summary["dev"]
     test = evaluate_model(model, load_split(corpus_dir, "test"))
     result = {
         "dev_per": dev["per"],

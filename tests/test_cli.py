@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sshr.cli import main
+from sshr.model import SshrModel
 
 
 def write_json(path, obj):
@@ -179,3 +180,100 @@ class TestAblateCli:
         assert lines[1].startswith("B0,1,") and lines[2].startswith("B0-wide,1,")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["variants"]["B0-wide"]["reference"] == []
+
+
+def set_at(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("command,path,value,named", [
+        ("train", ("model", "lid_in_targets"), "false", "model.lid_in_targets"),
+        ("train", ("model", "stack", "depth"), 3.7, "model.stack.depth"),
+        ("train", ("model", "cross_taps"), "2", "model.cross_taps"),
+        ("train", ("model", "variant"), 4, "model.variant"),
+        ("train", ("train", "steps"), "1", "train.steps"),
+        ("train", ("train", "lr"), None, "train.lr"),
+        ("train", ("model", "stack"), 5, "model.stack"),
+        ("train", ("data",), [], "config.data"),
+        ("datagen", ("noise_sigma",), "0.3", "corpus.noise_sigma"),
+        ("datagen", ("counts", "train"), True, "corpus.counts.train"),
+        ("eval", ("checkpoint",), 5, "config.checkpoint"),
+        ("ablate", ("ladder", 0, "id"), 3, "ladder[0].id"),
+        ("ablate", ("ladder", 0, "model", "stack", "depth"), "6", "ladder.x.model.stack.depth"),
+    ])
+    def test_exit_1_naming_the_key(self, cli_corpus, tmp_path, capsys, command, path, value, named):
+        corpus = cli_corpus / "corpus"
+        docs = {
+            "train": small_train_config(corpus),
+            "datagen": {"counts": {"train": 2, "dev": 1, "test": 1}},
+            "eval": {"checkpoint": "final.sshr", "corpus_dir": str(corpus)},
+            "ablate": {"config": small_train_config(corpus), "ladder": [{"id": "x", "variant": "C1", "model": {"stack": {}}}]},
+        }
+        doc = set_at(docs[command], path, value)
+        argv = [command, "--out", str(tmp_path / "run")]
+        if command == "ablate":
+            argv += ["--config", write_json(tmp_path / "cfg.json", doc["config"]),
+                     "--ladder", write_json(tmp_path / "ladder.json", doc["ladder"])]
+        else:
+            argv += ["--config", write_json(tmp_path / "cfg.json", doc)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mutate,named", [
+        (lambda c: c["languages"][0]["bias"].pop(), "bias"),
+        (lambda c: [row.append(0.0) for row in c["languages"][1]["prototypes"]], "prototypes"),
+        (lambda c: c["languages"][0].update(rotation=c["languages"][0]["rotation"][0]), "rotation"),
+        (lambda c: c.pop("feature_dim"), "corpus.feature_dim"),
+    ], ids=["short-bias", "wide-prototypes", "flat-rotation", "no-feature_dim"])
+    def test_malformed_corpus_json_exits_1(self, cli_corpus, tmp_path, capsys, mutate, named):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        spec = json.loads((cli_corpus / "corpus" / "corpus.json").read_text())
+        mutate(spec)
+        write_json(corpus / "corpus.json", spec)
+        cfg = write_json(tmp_path / "cfg.json", small_train_config(corpus))
+        assert main(["train", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "corpus.json" in err
+
+
+class TestVariantWithExplicitKeys:
+    def test_explicit_keys_win_over_the_variant(self, cli_corpus, tmp_path):
+        cfg = small_train_config(cli_corpus / "corpus")
+        cfg["model"] = {"variant": "C4", "loss_weight": 1, "stack": {"depth": 5, "hidden": 16, "ffn": 32, "heads": 2}}
+        run = tmp_path / "run"
+        assert main(["train", "--seed", "1", "--out", str(run), "--config", write_json(tmp_path / "t.json", cfg)]) == 0
+        model = json.loads((run / "run_manifest.json").read_text())["resolved_config"]["model"]
+        assert model["loss_weight"] == 1.0
+        # everything else comes from C4 at depth 5
+        assert model["cross_taps"] == [3] and model["lid_extract_layer"] == 2
+        assert model["stack"]["surgery"] == {"kind": "delete_last", "n": 1}
+        assert SshrModel.load(run / "final.sshr").cfg.loss_weight == 1.0
+
+    def test_ladder_variant_follows_the_entry_depth(self, cli_corpus, tmp_path):
+        cfg = write_json(tmp_path / "ab.json", small_train_config(cli_corpus / "corpus"))
+        ladder = write_json(tmp_path / "ladder.json",
+                            [{"id": "C4-d6", "variant": "C4", "model": {"stack": {"depth": 6}}}])
+        out = tmp_path / "ab_out"
+        assert main(["ablate", "--seed", "1", "--seeds", "1", "--out", str(out),
+                     "--config", cfg, "--ladder", ladder]) == 0
+        entry = json.loads((out / "run_manifest.json").read_text())["resolved_config"]["ladder"][0]
+        assert entry["model"]["stack"]["depth"] == 6
+        assert entry["model"]["cross_taps"] == [2, 4] and entry["model"]["lid_extract_layer"] == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == [] and "C4-d6" in summary["variants"]
+
+    def test_bad_ladder_entry_stops_before_any_training(self, cli_corpus, tmp_path, capsys):
+        cfg = write_json(tmp_path / "ab.json", small_train_config(cli_corpus / "corpus"))
+        ladder = write_json(tmp_path / "ladder.json", ["B0", {"id": "late", "model": {"cross_taps": [9]}}])
+        out = tmp_path / "ab_out"
+        assert main(["ablate", "--seed", "1", "--seeds", "1", "--out", str(out),
+                     "--config", cfg, "--ladder", ladder]) == 1
+        assert "ladder.late.model" in capsys.readouterr().err
+        assert not (out / "B0").exists()

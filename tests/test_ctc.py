@@ -176,6 +176,11 @@ class TestGreedyDecode:
         frames = [1, 0, 1]
         assert collapse_frames(frames) == [1, 1]
 
+    def test_run_collapse_with_unused_blank_keeps_id_zero(self):
+        # corpus alignments hold phoneme ids, where 0 is a real phoneme
+        frames = np.array([0, 0, 3, 3, 0, 2], dtype=np.uint16)
+        assert collapse_frames(frames, blank=-1) == [0, 3, 0, 2]
+
     def test_tie_breaks_toward_lower_id(self):
         lp = np.zeros((2, 4))
         assert ctc_greedy_decode(lp) == []  # argmax of equal row is blank=0

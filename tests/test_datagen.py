@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from sshr.ctc import collapse_frames
 from sshr.datagen import (
     CorpusSpec,
-    collapse_alignment,
     default_corpus_spec,
     generate_corpus,
     load_corpus_spec,
@@ -53,7 +53,7 @@ class TestGeneration:
         spec = small_spec(counts={"train": 10})
         generate_corpus(spec, tmp_path)
         for utt in load_split(tmp_path, "train"):
-            assert collapse_alignment(utt.alignment) == list(utt.transcript)
+            assert collapse_frames(utt.alignment, blank=-1) == list(utt.transcript)
             assert len(utt.alignment) == utt.n_frames
             assert utt.n_frames >= len(utt.transcript)
 

@@ -186,6 +186,20 @@ class TestProbePipeline:
         assert lines[0] == "layer,lid_acc,mi_nats"
         assert len(lines) == model.depth + 2
 
+    def test_layer_subset_matches_full_report(self, probe_setup):
+        model, utts = probe_setup
+        full = probe_all_layers(model, utts, k=6, seed=0)
+        part = probe_all_layers(model, utts, k=6, seed=0, layers=[2, 0])
+        assert part.rows == [full.rows[2], full.rows[0]] and part.metadata == full.metadata
+
+    def test_out_of_range_layer_rejected_before_any_forward(self, probe_setup, monkeypatch):
+        import sshr.probe
+
+        model, utts = probe_setup
+        monkeypatch.setattr(sshr.probe, "collect_layer_data", lambda *a: pytest.fail("collected layers first"))
+        with pytest.raises(ConfigError):
+            probe_all_layers(model, utts, k=6, seed=0, layers=[model.depth + 1])
+
     def test_dump_layer_zero_is_projected_input(self, probe_setup):
         model, utts = probe_setup
         dumps = dump_representations(model, utts[:2], layer=0)

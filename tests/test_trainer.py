@@ -103,6 +103,16 @@ class TestTrainLoop:
         for name in fresh.params:
             assert np.array_equal(loaded.params[name].values, fresh.params[name].values.astype(np.float32))
 
+    def test_summary_dev_scores_equal_the_reloaded_checkpoint(self, small_corpus, small_vocab, tmp_path):
+        from sshr.evalkit import evaluate_model
+
+        cfg = tiny_model_config(vocab=small_vocab, depth=2, hidden=8, heads=2, ffn=16, feature_dim=16, seed=8)
+        dev = load_split(small_corpus, "dev")
+        for steps in (0, 3):
+            summary = train(cfg, {"steps": steps, "seed": 8, "eval_interval": 2, "batch_size": 2},
+                            small_corpus, tmp_path / f"s{steps}")
+            assert summary["dev"] == evaluate_model(SshrModel.load(summary["checkpoint"]), dev)
+
     def test_determinism_bytes(self, small_corpus, small_vocab, tmp_path):
         cfg = tiny_model_config(vocab=small_vocab, depth=2, hidden=16, heads=2, ffn=32, feature_dim=16, seed=6)
         tcfg = {"steps": 12, "seed": 6, "eval_interval": 6, "checkpoint_interval": 12, "batch_size": 4}
