@@ -44,10 +44,6 @@ class Vocabulary(Strict):
         return 1 + len(self.phonemes) + len(self.languages)
 
     @property
-    def blank_id(self) -> int:
-        return BLANK_ID
-
-    @property
     def first_lid_id(self) -> int:
         return 1 + len(self.phonemes)
 
@@ -68,11 +64,6 @@ class Vocabulary(Strict):
 
     def is_lid(self, token: int) -> bool:
         return self.first_lid_id <= token < self.size
-
-    def language_of(self, token: int) -> str:
-        if not self.is_lid(token):
-            raise ConfigError(f"token {token} is not a language-id token")
-        return self.languages[token - self.first_lid_id]
 
     def strip_lid(self, tokens) -> list[int]:
         return [t for t in tokens if not self.is_lid(t)]
@@ -256,8 +247,4 @@ def ctc_greedy_decode(log_probs, blank: int = BLANK_ID) -> list[int]:
 def ctc_head(hidden, w, b, layer: int) -> CtcPosterior:
     """Shared linear head + log-softmax; the same (w, b) tensors are reused
     at every tap layer and at the final layer."""
-    hv = hidden.values if isinstance(hidden, tz.Tensor) else np.asarray(hidden)
-    wv = w.values if isinstance(w, tz.Tensor) else np.asarray(w)
-    if hv.shape[1] != wv.shape[0]:
-        raise ConfigError(f"ctc_head width mismatch: hidden {hv.shape[1]} vs head {wv.shape[0]}")
     return CtcPosterior(layer=layer, log_probs=tz.log_softmax_rows(tz.linear(hidden, w, b)))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -65,6 +65,13 @@ class LanguageSpec(Strict):
         cond = np.linalg.cond(self.rotation)
         if not np.isfinite(cond) or cond > MAX_TRANSFORM_CONDITION:
             raise ConfigError(f"language {self.name!r}: transform condition {cond:.3g} too large")
+
+    def __eq__(self, other):
+        """Field-wise equality that compares array fields by value."""
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
     def realized_prototypes(self) -> np.ndarray:
         """Prototypes pushed through this language's affine transform."""
@@ -296,7 +303,9 @@ def load_manifest(manifest_path) -> list[Utterance]:
     """Load one split; features stay on disk until accessed.
 
     Verifies the feature shard checksum, per-utterance byte ranges, and
-    alignment consistency; corrupt data names the offending utterance.
+    alignment consistency; corrupt data names the offending utterance, and
+    a row that is not a manifest object of known languages and phoneme
+    symbols names its manifest line.
     """
     corpus_dir = os.path.dirname(os.path.abspath(manifest_path))
     spec = load_corpus_spec(corpus_dir)
@@ -307,36 +316,46 @@ def load_manifest(manifest_path) -> list[Utterance]:
     align_data: dict[str, bytes] = {}
     align_cursor: dict[str, int] = {}
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            feat_path = os.path.join(corpus_dir, row["feat_file"])
-            if row["feat_file"] not in payload_sizes:
-                payload_sizes[row["feat_file"]] = _verify_crc(feat_path)
+            where = f"{manifest_path} line {line_no}"
+            try:
+                row = json.loads(line)
+                utt_id, lang, feat_file = row["id"], row["lang"], row["feat_file"]
+                feat_path = os.path.join(corpus_dir, feat_file)
+                n_frames, offset = int(row["n_frames"]), int(row["offset_bytes"])
+                symbols = row["transcript"].split()
+            except (ValueError, KeyError, TypeError, AttributeError) as err:
+                raise CorruptDataError(f"{where}: malformed row ({type(err).__name__}: {err})") from None
+            if lang not in spec.language_names:
+                raise CorruptDataError(f"{where}: unknown language {lang!r}")
+            unknown = [s for s in symbols if s not in symbol_to_id]
+            if unknown:
+                raise CorruptDataError(f"{where}: unknown phoneme symbol {unknown[0]!r}")
+            transcript = tuple(symbol_to_id[s] for s in symbols)
+            if feat_file not in payload_sizes:
+                payload_sizes[feat_file] = _verify_crc(feat_path)
                 align_path = os.path.splitext(feat_path)[0] + ".align"
                 with open(align_path, "rb") as afh:
-                    align_data[row["feat_file"]] = afh.read()
-                align_cursor[row["feat_file"]] = 0
-            n_frames = int(row["n_frames"])
-            offset = int(row["offset_bytes"])
+                    align_data[feat_file] = afh.read()
+                align_cursor[feat_file] = 0
             end = offset + n_frames * f_dim * 4
-            if end > payload_sizes[row["feat_file"]]:
-                raise CorruptDataError(f"utterance {row['id']}: byte range exceeds shard payload")
-            cursor = align_cursor[row["feat_file"]]
-            align_bytes = align_data[row["feat_file"]][cursor : cursor + n_frames * 2]
+            if offset < 0 or end > payload_sizes[feat_file]:
+                raise CorruptDataError(f"utterance {utt_id}: byte range outside shard payload")
+            cursor = align_cursor[feat_file]
+            align_bytes = align_data[feat_file][cursor : cursor + n_frames * 2]
             if len(align_bytes) != n_frames * 2:
-                raise CorruptDataError(f"utterance {row['id']}: alignment shard truncated")
-            align_cursor[row["feat_file"]] = cursor + n_frames * 2
+                raise CorruptDataError(f"utterance {utt_id}: alignment shard truncated")
+            align_cursor[feat_file] = cursor + n_frames * 2
             alignment = np.frombuffer(align_bytes, dtype="<u2")
-            transcript = tuple(symbol_to_id[s] for s in row["transcript"].split())
             if collapse_frames(alignment, blank=-1) != list(transcript):
-                raise CorruptDataError(f"utterance {row['id']}: alignment does not collapse to transcript")
+                raise CorruptDataError(f"utterance {utt_id}: alignment does not collapse to transcript")
             utterances.append(
                 Utterance(
-                    id=row["id"],
-                    lang=row["lang"],
+                    id=utt_id,
+                    lang=lang,
                     n_frames=n_frames,
                     transcript=transcript,
                     alignment=alignment,

@@ -1,6 +1,7 @@
 """Transformer encoder layers and stack surgery.
 
-Two layer kinds share one pre-norm residual layout:
+Both layer kinds run one pre-norm residual body, ``self_attention_layer``;
+they differ only in where the attention query comes from:
 
 * ``self_attention``: queries, keys and values all come from the layer
   input.
@@ -119,14 +120,6 @@ def build_stack(cfg: StackConfig, cross_taps=()) -> list[LayerSpec]:
     return [LayerSpec(kind=k, source=s, init=i) for k, s, i in zip(kinds, sources, inits)]
 
 
-_SELF_PARAMS = ("wq", "bq")
-_CROSS_PARAMS = ("wp1", "bp1", "wp2", "bp2")
-_SHARED_PARAMS = (
-    "ln1_gain", "ln1_bias", "wk", "bk", "wv", "bv", "wo", "bo",
-    "ln2_gain", "ln2_bias", "w1", "b1", "w2", "b2",
-)
-
-
 @dataclass
 class LayerParams:
     """Tensors of one encoder layer; Q-path fields depend on the kind."""
@@ -159,12 +152,14 @@ class LayerParams:
                 yield f.name, t
 
 
-def self_attention_layer(x: tz.Tensor, p: LayerParams, n_heads: int, lengths=None) -> tz.Tensor:
-    """Pre-norm multi-head self-attention + residual, then pre-norm FFN +
+def self_attention_layer(x: tz.Tensor, p: LayerParams, n_heads: int, lengths=None, query=None) -> tz.Tensor:
+    """Pre-norm multi-head attention + residual, then pre-norm FFN +
     residual; length-preserving. ``lengths`` segments packed utterances
-    (attention stays within each; None is one utterance)."""
+    (attention stays within each; None is one utterance). The query is
+    ``query`` when given, else the layer's own projection of the normed
+    input; keys, values and the residual always come from ``x``."""
     h = tz.layer_norm(x, p.ln1_gain, p.ln1_bias)
-    q = tz.linear(h, p.wq, p.bq)
+    q = tz.linear(h, p.wq, p.bq) if query is None else query
     k = tz.linear(h, p.wk, p.bk)
     v = tz.linear(h, p.wv, p.bv)
     a = tz.multi_head_attention(q, k, v, n_heads, lengths)
@@ -175,22 +170,14 @@ def self_attention_layer(x: tz.Tensor, p: LayerParams, n_heads: int, lengths=Non
 
 
 def cross_attention_layer(probs: tz.Tensor, x: tz.Tensor, p: LayerParams, n_heads: int, lengths=None) -> tz.Tensor:
-    """Cross-attention whose queries are Linear(Linear(posterior probs));
-    keys/values and the residual come from the layer input ``x``, segmented
-    by ``lengths`` as in ``self_attention_layer``."""
+    """``self_attention_layer`` with the query Linear(Linear(posterior
+    probs)) of an earlier layer; ``probs`` has one row per row of ``x``."""
     if probs.values.shape[0] != x.values.shape[0]:
         raise ConfigError(
             f"posterior length {probs.values.shape[0]} differs from input length {x.values.shape[0]}"
         )
     q = tz.linear(tz.linear(probs, p.wp1, p.bp1), p.wp2, p.bp2)
-    h = tz.layer_norm(x, p.ln1_gain, p.ln1_bias)
-    k = tz.linear(h, p.wk, p.bk)
-    v = tz.linear(h, p.wv, p.bv)
-    a = tz.multi_head_attention(q, k, v, n_heads, lengths)
-    x = tz.add(x, tz.linear(a, p.wo, p.bo))
-    f = tz.layer_norm(x, p.ln2_gain, p.ln2_bias)
-    f = tz.linear(tz.gelu(tz.linear(f, p.w1, p.b1)), p.w2, p.b2)
-    return tz.add(x, f)
+    return self_attention_layer(x, p, n_heads, lengths, query=q)
 
 
 def _stream_rng(seed: int, key: str) -> np.random.Generator:

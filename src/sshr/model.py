@@ -26,7 +26,7 @@ from . import tensor as tz
 from .config import Strict
 from .ctc import CtcPosterior, Vocabulary, ctc_head, ctc_loss, min_frames
 from .encoder import EncoderStack, StackConfig, cross_attention_layer, self_attention_layer
-from .errors import ConfigError, SshrError
+from .errors import ConfigError, CorruptDataError, SshrError
 
 CHECKPOINT_MAGIC = b"SSHR1"
 
@@ -355,27 +355,43 @@ class SshrModel:
 
     @classmethod
     def load_bytes(cls, raw: bytes) -> "SshrModel":
+        """Rebuild a model from ``save_bytes`` output. Every field is
+        length-checked: a truncated file, a config that is not JSON or
+        trailing bytes raise ``CorruptDataError``."""
         view = io.BytesIO(raw)
-        if view.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+
+        def read(fmt, what):
+            """Unpack ``fmt`` (raw bytes for ``"<Ns"``) from the next bytes."""
+            n = struct.calcsize(fmt)
+            chunk = view.read(n)
+            if len(chunk) != n:
+                raise CorruptDataError(f"checkpoint truncated in {what}")
+            return struct.unpack(fmt, chunk)
+
+        if read(f"<{len(CHECKPOINT_MAGIC)}s", "magic") != (CHECKPOINT_MAGIC,):
             raise ConfigError("not a model checkpoint (bad magic)")
-        (cfg_len,) = struct.unpack("<I", view.read(4))
-        cfg = SshrConfig.from_dict(json.loads(view.read(cfg_len).decode("utf-8")))
-        model = cls(cfg)
-        (count,) = struct.unpack("<I", view.read(4))
+        (cfg_len,) = read("<I", "config length")
+        try:
+            cfg_dict = json.loads(read(f"<{cfg_len}s", "config")[0].decode("utf-8"))
+        except ValueError as err:  # not UTF-8 or not JSON
+            raise CorruptDataError(f"checkpoint config is not JSON: {err}") from None
+        model = cls(SshrConfig.from_dict(cfg_dict))
+        (count,) = read("<I", "blob count")
         if count != len(model.params):
             raise ConfigError(f"checkpoint has {count} blobs, model expects {len(model.params)}")
         for name, t in model.params.items():
-            (name_len,) = struct.unpack("<H", view.read(2))
-            stored = view.read(name_len).decode("utf-8")
-            if stored != name:
-                raise ConfigError(f"checkpoint blob {stored!r} does not match parameter {name!r}")
-            (rank,) = struct.unpack("<B", view.read(1))
-            shape = tuple(struct.unpack("<I", view.read(4))[0] for _ in range(rank))
+            (name_len,) = read("<H", f"the name of blob {name!r}")
+            (stored,) = read(f"<{name_len}s", f"the name of blob {name!r}")
+            if stored != name.encode("utf-8"):
+                raise ConfigError(f"checkpoint blob {stored.decode('utf-8', 'replace')!r} does not match parameter {name!r}")
+            (rank,) = read("<B", f"the rank of blob {name!r}")
+            shape = read(f"<{rank}I", f"the shape of blob {name!r}")
             if shape != t.values.shape:
                 raise ConfigError(f"blob {name!r} shape {shape} != expected {t.values.shape}")
-            n_bytes = int(np.prod(shape, dtype=np.int64)) * 4
-            data = np.frombuffer(view.read(n_bytes), dtype="<f4").reshape(shape)
-            t.values = data.astype(np.float32)
+            (data,) = read(f"<{int(np.prod(shape, dtype=np.int64)) * 4}s", f"the data of blob {name!r}")
+            t.values = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+        if view.read(1):
+            raise CorruptDataError(f"checkpoint has {len(raw) - view.tell() + 1} trailing bytes")
         return model
 
     @classmethod

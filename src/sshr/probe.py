@@ -19,27 +19,6 @@ from . import tensor as tz
 from .errors import ConfigError
 
 
-def dump_representations(model, utterances, layer: int, frame_level: bool = False) -> list[np.ndarray]:
-    """Per-utterance activations of one stack depth, exactly what the next
-    layer consumes (taken before the splice at the extraction layer).
-
-    ``frame_level`` drops the language-summary row so rows align with the
-    per-frame phoneme labels; pooled consumers keep it and see it only
-    through their own pooling.
-    """
-    if not 0 <= layer <= model.depth:
-        raise ConfigError(f"layer {layer} outside [0, {model.depth}]")
-    dumps = []
-    with tz.no_grad():
-        for utt in utterances:
-            out = model.forward(utt.features, retain_activations=True)
-            act = out.activations[layer]
-            if frame_level and act.shape[0] == utt.n_frames + 1:
-                act = act[1:]
-            dumps.append(act)
-    return dumps
-
-
 def collect_layer_data(model, utterances):
     """One forward per utterance, shared by every per-layer probe.
 

@@ -56,14 +56,6 @@ class Tensor:
         self._backward = _backward
         self._needs_grad = requires_grad or bool(_parents)
 
-    @property
-    def shape(self):
-        return self.values.shape
-
-    @property
-    def dtype(self):
-        return self.values.dtype
-
     def zero_grad(self):
         self.grad = None
 
@@ -72,19 +64,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype}, name={self.name!r})"
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
 
 
 def param(values, name):
@@ -126,7 +105,7 @@ def linearize(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(root: Tensor, seed=None, record: list[Tensor] | None = None) -> dict[Tensor, np.ndarray]:
+def backward(root: Tensor, seed=None) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep from ``root``; returns the full gradient flow.
 
     ``seed`` must match the root's shape (defaults to ones). Gradients are
@@ -139,10 +118,8 @@ def backward(root: Tensor, seed=None, record: list[Tensor] | None = None) -> dic
     seed = np.asarray(seed, dtype=root.values.dtype)
     if seed.shape != root.values.shape:
         raise ConfigError(f"seed shape {seed.shape} does not match output shape {root.values.shape}")
-    if record is None:
-        record = linearize(root)
     flow: dict[Tensor, np.ndarray] = {root: seed.copy()}
-    for node in reversed(record):
+    for node in reversed(linearize(root)):
         g = flow.get(node)
         if g is None or node._backward is None:
             continue
@@ -160,28 +137,8 @@ def backward(root: Tensor, seed=None, record: list[Tensor] | None = None) -> dic
     return flow
 
 
-def zero_grads(tensors):
-    for t in tensors:
-        t.zero_grad()
-
-
 # ---------------------------------------------------------------------------
 # primitive operations
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product of two rank-2 tensors (BLAS underneath)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ConfigError(f"matmul expects matrices, got ranks {av.ndim} and {bv.ndim}")
-    if av.shape[1] != bv.shape[0]:
-        raise ConfigError(f"matmul inner dimensions differ: {av.shape} @ {bv.shape}")
-
-    def backward_fn(g):
-        return g @ bv.T, av.T @ g
-
-    return _op(av @ bv, (a, b), backward_fn)
 
 
 def linear(x, w, b) -> Tensor:
@@ -394,27 +351,25 @@ def prepend_row(row, x, lengths=None) -> Tensor:
 
 
 def multi_head_attention(q, k, v, n_heads: int, lengths=None) -> Tensor:
-    """Scaled dot-product attention over projected q/k/v of width H.
+    """Scaled dot-product attention over projected q/k/v, all of one
+    shape (sum T) x H.
 
-    Heads are split from the feature axis; the output has the query's
-    length and width H. With ``lengths`` the rows are packed utterances and
-    attention stays inside each segment (block-diagonal): ragged segments
-    are padded to B x T_max inside the op with the padded keys masked out,
-    equal ones are reshaped. Without, q may be longer or shorter than k/v.
-    The whole head computation carries one hand-derived gradient rule,
-    which keeps the record short.
+    Heads are split from the feature axis; the output has the same shape.
+    With ``lengths`` the rows are packed utterances and attention stays
+    inside each segment (block-diagonal): ragged segments are padded to
+    B x T_max inside the op with the padded keys masked out, equal ones are
+    reshaped; None is one segment. The whole head computation carries one
+    hand-derived gradient rule, which keeps the record short.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qv, kv, vv = q.values, k.values, v.values
     if qv.ndim != 2 or kv.ndim != 2 or vv.ndim != 2:
         raise ConfigError("attention operands must be matrices")
+    if qv.shape != kv.shape or vv.shape != kv.shape:
+        raise ConfigError(f"attention operands differ in shape: q{qv.shape} k{kv.shape} v{vv.shape}")
     h = qv.shape[1]
-    if kv.shape[1] != h or vv.shape[1] != h or kv.shape[0] != vv.shape[0]:
-        raise ConfigError(f"attention shapes incompatible: q{qv.shape} k{kv.shape} v{vv.shape}")
     if h % n_heads != 0:
         raise ConfigError(f"width {h} not divisible by {n_heads} heads")
-    if lengths is not None and qv.shape[0] != kv.shape[0]:
-        raise ConfigError(f"packed attention needs as many query as key rows: q{qv.shape} k{kv.shape}")
     d = h // n_heads
     seg = _segments(lengths, kv.shape[0], "multi_head_attention")
     n_seg, t_max = len(seg), max(seg)
@@ -425,19 +380,18 @@ def multi_head_attention(q, k, v, n_heads: int, lengths=None) -> Tensor:
         valid = np.arange(t_max) < np.array(seg)[:, None]
         key_mask = np.where(valid, 0.0, -np.inf).astype(qv.dtype)[:, None, None, :]
 
-    def split(a, t):
+    def split(a):
         if ragged:
             padded = np.zeros((n_seg * t_max, h), dtype=a.dtype)
             padded[slots] = a
             a = padded
-        return a.reshape(n_seg, t, n_heads, d).transpose(0, 2, 1, 3)
+        return a.reshape(n_seg, t_max, n_heads, d).transpose(0, 2, 1, 3)
 
-    def merge(a, t):
-        a = a.transpose(0, 2, 1, 3).reshape(n_seg * t, h)
+    def merge(a):
+        a = a.transpose(0, 2, 1, 3).reshape(n_seg * t_max, h)
         return a[slots] if ragged else a
 
-    tq = qv.shape[0] if lengths is None else t_max
-    qh, kh, vh = split(qv, tq), split(kv, t_max), split(vv, t_max)
+    qh, kh, vh = split(qv), split(kv), split(vv)
     inv_sqrt_d = 1.0 / math.sqrt(d)
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * inv_sqrt_d
     if ragged:
@@ -448,16 +402,16 @@ def multi_head_attention(q, k, v, n_heads: int, lengths=None) -> Tensor:
     z = attn @ vh
 
     def backward_fn(g):
-        gz = split(g, tq)
+        gz = split(g)
         ga = gz @ vh.transpose(0, 1, 3, 2)
         gvh = attn.transpose(0, 1, 3, 2) @ gz
         gs = attn * (ga - (ga * attn).sum(axis=3, keepdims=True))
         gs *= inv_sqrt_d
         gqh = gs @ kh
         gkh = gs.transpose(0, 1, 3, 2) @ qh
-        return merge(gqh, tq), merge(gkh, t_max), merge(gvh, t_max)
+        return merge(gqh), merge(gkh), merge(gvh)
 
-    return _op(merge(z, tq), (q, k, v), backward_fn)
+    return _op(merge(z), (q, k, v), backward_fn)
 
 
 def sinusoidal_positions(length: int, width: int, dtype=np.float32) -> np.ndarray:

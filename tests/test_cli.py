@@ -1,7 +1,9 @@
 import json
+import shutil
 
 import pytest
 
+from conftest import tiny_model_config
 from sshr.cli import main
 from sshr.model import SshrModel
 
@@ -60,6 +62,32 @@ class TestExitCodes:
             {"checkpoint": str(tmp_path / "missing.sshr"), "corpus_dir": str(cli_corpus / "corpus"), "split": "test"},
         )
         assert main(["eval", "--seed", "0", "--out", str(tmp_path / "run"), "--config", cfg]) == 2
+
+    def test_truncated_checkpoint_exits_1(self, cli_corpus, tmp_path, capsys):
+        path = tmp_path / "cut.sshr"
+        path.write_bytes(SshrModel(tiny_model_config()).save_bytes()[:-3])
+        cfg = write_json(
+            tmp_path / "eval.json",
+            {"checkpoint": str(path), "corpus_dir": str(cli_corpus / "corpus"), "split": "test"},
+        )
+        assert main(["eval", "--seed", "0", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "truncated" in err and "Traceback" not in err
+
+    def test_corrupt_manifest_exits_1(self, cli_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus / "corpus", corpus)
+        manifest = corpus / "manifest.test.jsonl"
+        lines = manifest.read_text().splitlines()
+        row = json.loads(lines[0])
+        lines[0] = json.dumps({**row, "transcript": "zz " + row["transcript"]})
+        manifest.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "m.sshr"
+        SshrModel(tiny_model_config()).save(path)
+        cfg = write_json(tmp_path / "eval.json", {"checkpoint": str(path), "corpus_dir": str(corpus), "split": "test"})
+        assert main(["eval", "--seed", "0", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "manifest.test.jsonl line 1" in err and "'zz'" in err
 
 
 class TestHelp:

@@ -6,6 +6,7 @@ import pytest
 from conftest import rand_log_softmax, tiny_vocab
 from sshr import tensor as tz
 from sshr.ctc import (
+    BLANK_ID,
     Vocabulary,
     ctc_brute_force,
     ctc_greedy_decode,
@@ -20,7 +21,7 @@ from sshr.errors import ConfigError, CtcInfeasibleError
 class TestVocabulary:
     def test_layout(self):
         v = tiny_vocab(n_phonemes=3, n_langs=2)
-        assert v.blank_id == 0
+        assert BLANK_ID == 0 and v.symbols[BLANK_ID] == "<blank>"
         assert v.size == 6
         assert v.phoneme_token(0) == 1
         assert v.first_lid_id == 4

@@ -107,12 +107,31 @@ class TestLoading:
         spec = small_spec()
         generate_corpus(spec, tmp_path)
         manifest = tmp_path / "manifest.test.jsonl"
-        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
-        rows[-1]["n_frames"] = 10_000
-        manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        with pytest.raises(CorruptDataError) as err:
-            load_split(tmp_path, "test")
-        assert rows[-1]["id"] in str(err.value)
+        good = manifest.read_text()
+        for key, value in (("n_frames", 10_000), ("offset_bytes", -64)):
+            rows = [json.loads(line) for line in good.splitlines()]
+            rows[-1][key] = value
+            manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+            with pytest.raises(CorruptDataError) as err:
+                load_split(tmp_path, "test")
+            assert rows[-1]["id"] in str(err.value)
+
+    @pytest.mark.parametrize("bad_row,message", [
+        (lambda row: "{not json", "malformed row"),
+        (lambda row: json.dumps({**row, "transcript": row["transcript"] + " zz"}), "unknown phoneme symbol 'zz'"),
+        (lambda row: json.dumps({k: v for k, v in row.items() if k != "n_frames"}), "malformed row"),
+        (lambda row: json.dumps({**row, "feat_file": 5}), "malformed row"),
+        (lambda row: json.dumps({**row, "lang": "XX"}), "unknown language 'XX'"),
+    ], ids=["not_json", "unknown_symbol", "missing_key", "feat_file_not_a_path", "unknown_language"])
+    def test_malformed_manifest_row_names_line(self, tmp_path, bad_row, message):
+        generate_corpus(small_spec(), tmp_path)
+        manifest = tmp_path / "manifest.dev.jsonl"
+        lines = manifest.read_text().splitlines()
+        lines[2] = bad_row(json.loads(lines[2]))
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptDataError, match=message) as err:
+            load_split(tmp_path, "dev")
+        assert "manifest.dev.jsonl line 3" in str(err.value)
 
     def test_spec_round_trips_through_json(self, tmp_path):
         spec = small_spec()

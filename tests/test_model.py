@@ -1,10 +1,15 @@
+import importlib.util
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import rand_log_softmax, tiny_model_config, tiny_vocab
 from sshr import tensor as tz
 from sshr.ctc import CtcPosterior, ctc_loss
-from sshr.errors import ConfigError
+from sshr.errors import ConfigError, CorruptDataError
+from sshr.evalkit import apply_variant
 from sshr.model import (
     SshrConfig,
     SshrModel,
@@ -259,6 +264,39 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             SshrModel.load(path)
 
+    @staticmethod
+    def _saved_bytes():
+        cfg = tiny_model_config(depth=3, lid_extract_layer=1, lid_in_targets=True, cross_taps=[2], loss_weight=0.5)
+        return SshrModel(cfg).save_bytes()
+
+    @pytest.mark.parametrize("part", ["magic", "header", "config", "count", "name", "shape", "data"])
+    def test_truncation_raises_corrupt_data(self, part):
+        raw = self._saved_bytes()
+        (cfg_len,) = struct.unpack("<I", raw[5:9])
+        blob = 9 + cfg_len + 4  # the first parameter blob
+        (name_len,) = struct.unpack("<H", raw[blob : blob + 2])
+        cut = {
+            "magic": 3,
+            "header": 7,
+            "config": 9 + cfg_len // 2,
+            "count": 9 + cfg_len + 2,
+            "name": blob + 2 + name_len // 2,
+            "shape": blob + 2 + name_len + 1 + 2,
+            "data": len(raw) - 3,
+        }[part]
+        with pytest.raises(CorruptDataError, match="truncated"):
+            SshrModel.load_bytes(raw[:cut])
+
+    def test_trailing_bytes_raise_corrupt_data(self):
+        with pytest.raises(CorruptDataError, match="trailing"):
+            SshrModel.load_bytes(self._saved_bytes() + b"\x00")
+
+    def test_non_json_config_raises_corrupt_data(self):
+        raw = self._saved_bytes()
+        (cfg_len,) = struct.unpack("<I", raw[5:9])
+        with pytest.raises(CorruptDataError, match="JSON"):
+            SshrModel.load_bytes(raw[:9] + b"{" * cfg_len + raw[9 + cfg_len :])
+
     def test_forward_identical_after_reload(self, tmp_path):
         cfg = tiny_model_config(depth=3, lid_extract_layer=1, lid_in_targets=True, cross_taps=[2], loss_weight=0.5)
         model = SshrModel(cfg)
@@ -340,3 +378,46 @@ class TestPackedEquivalence:
         assert spliced.feasible(3, [0, 1, 2], "L0")
         assert not plain.feasible(3, [0, 1, 2], "L0")
         assert not spliced.feasible(2, [0, 1, 2], "L0")
+
+
+class TestBenchmarkContract:
+    """The traced benchmark patches these names and counts these calls."""
+
+    @staticmethod
+    def _tracer():
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_tracer_target_resolves(self):
+        for owner, attr, _, _ in self._tracer().TARGETS:
+            assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr}"
+
+    def test_c4_batch_call_counts(self, monkeypatch):
+        """One CTC loss per utterance and posterior, and one layer span per
+        stack position: a cross layer's shared body is not a second span."""
+        import sshr.model
+
+        cfg = SshrConfig.from_dict(apply_variant(tiny_model_config(depth=8).to_dict(), "C4"))
+        assert len(cfg.cross_taps) == 2
+        model = SshrModel(cfg)
+        rng = np.random.default_rng(3)
+        batch = [(rng.normal(size=(n, 4)).astype(np.float32), [0, 2, 1], "L1") for n in (9, 12, 10)]
+        calls = {}
+        for name in ("ctc_loss", "self_attention_layer", "cross_attention_layer"):
+            original = getattr(sshr.model, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sshr.model, name, counted)
+        model.batch_loss(batch)
+        taps = len(cfg.cross_taps)
+        assert calls == {
+            "ctc_loss": 3 * (1 + taps),
+            "self_attention_layer": model.depth - taps,
+            "cross_attention_layer": taps,
+        }

@@ -8,7 +8,7 @@ from sshr.errors import ConfigError
 from sshr.model import SshrModel
 from sshr.probe import (
     LogisticRegressionProbe,
-    dump_representations,
+    collect_layer_data,
     entropy_of_counts,
     kmeans,
     lid_probe,
@@ -202,38 +202,34 @@ class TestProbePipeline:
 
     def test_dump_layer_zero_is_projected_input(self, probe_setup):
         model, utts = probe_setup
-        dumps = dump_representations(model, utts[:2], layer=0)
+        pooled, frames, _, _ = collect_layer_data(model, utts[:2])
         first = utts[0]
         import sshr.tensor as tz
 
         expected = first.features @ model.w_in.values + model.b_in.values + tz.sinusoidal_positions(first.n_frames, model.cfg.stack.hidden)
-        assert np.allclose(dumps[0], expected, atol=1e-5)
-
-    def test_dump_lengths_follow_length_law(self, probe_setup):
-        model, utts = probe_setup
-        lid = model.cfg.lid_extract_layer
-        for d in range(model.depth + 1):
-            dumps = dump_representations(model, utts[:3], layer=d)
-            for utt, act in zip(utts[:3], dumps):
-                assert act.shape[0] == utt.n_frames + (1 if d > lid else 0)
+        assert np.allclose(frames[0][: first.n_frames], expected, atol=1e-5)
+        assert np.allclose(pooled[0][0], expected.mean(axis=0), atol=1e-5)
 
     def test_frame_level_dump_excludes_summary_row(self, probe_setup):
+        import sshr.tensor as tz
+
         model, utts = probe_setup
         d = model.depth  # after the splice
-        full = dump_representations(model, utts[:2], layer=d)
-        frames = dump_representations(model, utts[:2], layer=d, frame_level=True)
-        for utt, whole, part in zip(utts[:2], full, frames):
-            assert whole.shape[0] == utt.n_frames + 1
-            assert part.shape[0] == utt.n_frames
-            assert np.array_equal(part, whole[1:])
-
-    def test_dump_layer_out_of_range(self, probe_setup):
-        model, utts = probe_setup
-        with pytest.raises(ConfigError):
-            dump_representations(model, utts[:1], layer=model.depth + 1)
+        pooled, frames, _, frame_labels = collect_layer_data(model, utts[:2])
+        with tz.no_grad():
+            whole = [model.forward(utt.features, retain_activations=True).activations[d] for utt in utts[:2]]
+        for utt, act in zip(utts[:2], whole):
+            assert act.shape[0] == utt.n_frames + 1
+        assert np.array_equal(frames[d], np.concatenate([act[1:] for act in whole]))
+        assert frames[d].shape[0] == frame_labels.shape[0]
+        assert np.array_equal(pooled[d], np.stack([act.mean(axis=0) for act in whole]))
 
     def test_dumps_deterministic(self, probe_setup):
         model, utts = probe_setup
-        a = dump_representations(model, utts[:2], layer=2)
-        b = dump_representations(model, utts[:2], layer=2)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        a = collect_layer_data(model, utts[:2])
+        b = collect_layer_data(model, utts[:2])
+        for x, y in zip(a, b):
+            if isinstance(x, list):
+                assert all(np.array_equal(u, w) for u, w in zip(x, y))
+            else:
+                assert np.array_equal(x, y)

@@ -11,28 +11,34 @@ def t64(values, **kw):
 
 
 class TestMatmul:
+    """Plain matrix products, through ``linear`` with a zero bias."""
+
+    @staticmethod
+    def matmul(a, b):
+        return tz.linear(a, b, t64(np.zeros(b.values.shape[1])))
+
     def test_identity(self):
         a = t64([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(tz.matmul(a, t64(np.eye(2))).values, a.values)
+        assert np.array_equal(self.matmul(a, t64(np.eye(2))).values, a.values)
 
     def test_direct(self):
-        out = tz.matmul(t64([[1.0, 2.0], [3.0, 4.0]]), t64([[5.0, 6.0], [7.0, 8.0]]))
+        out = self.matmul(t64([[1.0, 2.0], [3.0, 4.0]]), t64([[5.0, 6.0], [7.0, 8.0]]))
         assert np.array_equal(out.values, [[19.0, 22.0], [43.0, 50.0]])
 
     def test_grad_of_sum_is_column_sums_of_b(self):
         rng = np.random.default_rng(0)
         a = t64(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         b = t64(rng.uniform(-1, 1, (4, 2)))
-        loss = tz.sum_all(tz.matmul(a, b))
+        loss = tz.sum_all(self.matmul(a, b))
         flow = tz.backward(loss)
         expected = np.broadcast_to(b.values.sum(axis=1), (3, 4))
         assert np.allclose(flow[a], expected)
-        numeric = finite_difference_gradient(lambda: float(tz.sum_all(tz.matmul(a, b)).values), a.values)
+        numeric = finite_difference_gradient(lambda: float(tz.sum_all(self.matmul(a, b)).values), a.values)
         assert relative_error(flow[a], numeric) < 1e-4
 
     def test_dim_mismatch(self):
         with pytest.raises(ConfigError):
-            tz.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
+            self.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
 
 
 class TestLogSoftmax:
@@ -127,6 +133,13 @@ class TestPackedSegments:
             assert np.allclose(packed[rows], alone.values, atol=1e-12)
             start += n
 
+    def test_attention_operands_must_share_one_shape(self):
+        rng = np.random.default_rng(7)
+        k, v = t64(rng.normal(size=(4, 4))), t64(rng.normal(size=(4, 4)))
+        for q in (t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(5, 4)))):
+            with pytest.raises(ConfigError):
+                tz.multi_head_attention(q, k, v, 2)
+
     def test_row_slice_is_a_view_with_scattered_gradient(self):
         x = t64(np.arange(8.0).reshape(4, 2), requires_grad=True)
         part = tz.row_slice(x, 1, 3)
@@ -168,22 +181,22 @@ class TestBackward:
     def test_accumulation_across_calls(self):
         x = t64([1.0, 2.0], requires_grad=True)
         out = tz.sum_all(tz.mul(x, x))
-        record = tz.linearize(out)
-        tz.backward(out, record=record)
+        tz.backward(out)
         once = x.grad.copy()
-        tz.backward(out, record=record)
+        tz.backward(out)
         assert np.array_equal(x.grad, 2 * once)
 
     def test_replay_is_bitwise_identical(self):
         rng = np.random.default_rng(5)
         x = tz.Tensor(rng.normal(size=(4, 6)).astype(np.float32), requires_grad=True)
         w = tz.Tensor(rng.normal(size=(6, 6)).astype(np.float32), requires_grad=True)
-        out = tz.sum_all(tz.gelu(tz.matmul(tz.layer_norm(x, tz.Tensor(np.ones(6, np.float32)), tz.Tensor(np.zeros(6, np.float32))), w)))
-        record = tz.linearize(out)
-        tz.backward(out, record=record)
+        ones, zeros = tz.Tensor(np.ones(6, np.float32)), tz.Tensor(np.zeros(6, np.float32))
+        out = tz.sum_all(tz.gelu(tz.linear(tz.layer_norm(x, ones, zeros), w, zeros)))
+        tz.backward(out)
         g1 = (x.grad.copy(), w.grad.copy())
-        tz.zero_grads([x, w])
-        tz.backward(out, record=record)
+        x.zero_grad()
+        w.zero_grad()
+        tz.backward(out)
         assert np.array_equal(g1[0], x.grad) and np.array_equal(g1[1], w.grad)
 
     def test_record_is_topological(self):
