@@ -8,7 +8,7 @@ from .ctc import Vocabulary, ctc_brute_force, ctc_greedy_decode, ctc_loss
 from .datagen import CorpusSpec, Utterance, default_corpus_spec, generate_corpus, load_manifest
 from .encoder import LayerSpec, StackConfig, Surgery, build_stack
 from .errors import ConfigError, CorruptDataError, CtcInfeasibleError, NonFiniteError, SshrError
-from .model import ForwardOutput, SshrConfig, SshrModel, make_targets, total_loss
+from .model import ForwardOutput, SshrConfig, SshrModel, total_loss
 from .tensor import Tensor, backward, linearize, no_grad
 
 __all__ = [
@@ -17,6 +17,6 @@ __all__ = [
     "Tensor", "backward", "linearize", "no_grad",
     "Vocabulary", "ctc_loss", "ctc_brute_force", "ctc_greedy_decode",
     "StackConfig", "Surgery", "LayerSpec", "build_stack",
-    "SshrConfig", "SshrModel", "ForwardOutput", "make_targets", "total_loss",
+    "SshrConfig", "SshrModel", "ForwardOutput", "total_loss",
     "CorpusSpec", "Utterance", "default_corpus_spec", "generate_corpus", "load_manifest",
 ]

@@ -248,6 +248,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.k < 0:
+        raise ConfigError("--k must be >= 0")
     run = _Run("probe", args.seed, args.out)
     cfg = _EvalFile.from_dict(_load_json(args.config), "config")
     model = SshrModel.load(cfg.checkpoint)
@@ -284,6 +286,8 @@ def cmd_ablate(args) -> int:
     model_cfg, train_cfg, corpus_dir = _resolve_train_sections(raw, args.seed)
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     seeds = [args.seed + i for i in range(args.seeds)]
     base = model_cfg.to_dict()
     # every entry is checked here, before the first run starts

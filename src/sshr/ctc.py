@@ -70,45 +70,37 @@ class Vocabulary(Strict):
 
 
 @dataclass
-class CtcPosterior:
-    """Per-layer log-probabilities produced by the shared head."""
-
-    layer: int
-    log_probs: tz.Tensor
-
-
-@dataclass
 class CtcLossResult:
     loss: tz.Tensor
     grad: np.ndarray = field(repr=False)
 
 
-def _validate_targets(targets, n_classes: int, blank: int):
+def _validate_targets(targets, n_classes: int):
     targets = [int(t) for t in targets]
     if not targets:
         raise ConfigError("ctc targets must be nonempty")
     for t in targets:
-        if t == blank:
+        if t == BLANK_ID:
             raise ConfigError("ctc targets may not contain the blank token")
         if not 0 <= t < n_classes:
             raise ConfigError(f"target token {t} outside vocabulary of size {n_classes}")
     return targets
 
 
-def min_frames(targets, blank: int = BLANK_ID) -> int:
+def min_frames(targets) -> int:
     """Shortest frame sequence that can emit ``targets`` (repeats need a
     separating blank)."""
     repeats = sum(1 for a, b in zip(targets, targets[1:]) if a == b)
     return len(targets) + repeats
 
 
-def _extended(targets, blank):
-    ext = np.full(2 * len(targets) + 1, blank, dtype=np.int64)
+def _extended(targets):
+    ext = np.full(2 * len(targets) + 1, BLANK_ID, dtype=np.int64)
     ext[1::2] = targets
     return ext
 
 
-def _forward_backward(log_probs: np.ndarray, targets, blank: int):
+def _forward_backward(log_probs: np.ndarray, targets):
     """Log-space alpha/beta recursions; returns (loss, dloss/dlog_probs).
 
     Alpha rows and the beta step buffer carry two -inf pad columns, so
@@ -118,11 +110,11 @@ def _forward_backward(log_probs: np.ndarray, targets, blank: int):
     states x labels one-hot product.
     """
     t_len, n_classes = log_probs.shape
-    ext = _extended(targets, blank)
+    ext = _extended(targets)
     s_len = ext.size
     emit = log_probs[:, ext]  # T x S
     can_skip = np.zeros(s_len, dtype=bool)
-    can_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    can_skip[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
     neg_inf = -np.inf
     skip_in = np.where(can_skip, 0.0, neg_inf)  # s-2 -> s allowed
     skip_out = np.full(s_len, neg_inf)  # s -> s+2 allowed
@@ -164,7 +156,7 @@ def _forward_backward(log_probs: np.ndarray, targets, blank: int):
     return -log_p, -(occupancy @ one_hot)
 
 
-def ctc_loss(log_probs, targets, blank: int = BLANK_ID) -> CtcLossResult:
+def ctc_loss(log_probs, targets) -> CtcLossResult:
     """Exact CTC negative log-likelihood in nats.
 
     ``log_probs`` is a T' x V matrix of row-normalized log-probabilities
@@ -176,13 +168,13 @@ def ctc_loss(log_probs, targets, blank: int = BLANK_ID) -> CtcLossResult:
     if lp.values.ndim != 2:
         raise ConfigError(f"ctc_loss expects a T x V matrix, got shape {lp.values.shape}")
     t_len, n_classes = lp.values.shape
-    targets = _validate_targets(targets, n_classes, blank)
-    if min_frames(targets, blank) > t_len:
+    targets = _validate_targets(targets, n_classes)
+    if min_frames(targets) > t_len:
         raise CtcInfeasibleError(
             f"{t_len} frames cannot emit {len(targets)} targets "
-            f"(needs at least {min_frames(targets, blank)})"
+            f"(needs at least {min_frames(targets)})"
         )
-    loss64, grad64 = _forward_backward(lp.values.astype(np.float64), targets, blank)
+    loss64, grad64 = _forward_backward(lp.values.astype(np.float64), targets)
 
     def backward_fn(g):
         return (float(g) * grad64,)
@@ -191,7 +183,7 @@ def ctc_loss(log_probs, targets, blank: int = BLANK_ID) -> CtcLossResult:
     return CtcLossResult(loss=loss, grad=grad64)
 
 
-def ctc_brute_force(probs: np.ndarray, targets, blank: int = BLANK_ID, guard: int = 10_000_000) -> float:
+def ctc_brute_force(probs: np.ndarray, targets, guard: int = 10_000_000) -> float:
     """Total target probability by enumerating every raw label sequence.
 
     Collapses adjacent repeats, then deletes blanks, and sums the product
@@ -202,7 +194,7 @@ def ctc_brute_force(probs: np.ndarray, targets, blank: int = BLANK_ID, guard: in
     t_len, n_classes = probs.shape
     if n_classes**t_len > guard:
         raise ConfigError(f"brute-force instance too large: {n_classes}^{t_len} > {guard}")
-    targets = _validate_targets(targets, n_classes, blank)
+    targets = _validate_targets(targets, n_classes)
     rows = probs.tolist()
     total = 0.0
     collapsed: list[int] = []
@@ -215,7 +207,7 @@ def ctc_brute_force(probs: np.ndarray, targets, blank: int = BLANK_ID, guard: in
             return
         row = rows[t]
         for s in range(n_classes):
-            pushed = s != last and s != blank
+            pushed = s != last and s != BLANK_ID
             if pushed:
                 collapsed.append(s)
             recurse(t + 1, s, p * row[s])
@@ -238,13 +230,14 @@ def collapse_frames(frame_ids, blank: int = BLANK_ID) -> list[int]:
     return out
 
 
-def ctc_greedy_decode(log_probs, blank: int = BLANK_ID) -> list[int]:
+def ctc_greedy_decode(log_probs) -> list[int]:
     """Per-frame argmax, then collapse. Ties break toward the lower id."""
     lp = log_probs.values if isinstance(log_probs, tz.Tensor) else np.asarray(log_probs)
-    return collapse_frames(lp.argmax(axis=1), blank)
+    return collapse_frames(lp.argmax(axis=1))
 
 
-def ctc_head(hidden, w, b, layer: int) -> CtcPosterior:
-    """Shared linear head + log-softmax; the same (w, b) tensors are reused
-    at every tap layer and at the final layer."""
-    return CtcPosterior(layer=layer, log_probs=tz.log_softmax_rows(tz.linear(hidden, w, b)))
+def ctc_head(hidden, w, b) -> tz.Tensor:
+    """Shared linear head + log-softmax, giving a T x V log-prob matrix;
+    the same (w, b) tensors are reused at every tap layer and at the final
+    layer."""
+    return tz.log_softmax_rows(tz.linear(hidden, w, b))

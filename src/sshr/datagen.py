@@ -303,7 +303,8 @@ def load_manifest(manifest_path) -> list[Utterance]:
     """Load one split; features stay on disk until accessed.
 
     Verifies the feature shard checksum, per-utterance byte ranges, and
-    alignment consistency; corrupt data names the offending utterance, and
+    alignment consistency, and that the manifest covers each alignment
+    shard exactly; corrupt data names the offending utterance or shard, and
     a row that is not a manifest object of known languages and phoneme
     symbols names its manifest line.
     """
@@ -363,6 +364,12 @@ def load_manifest(manifest_path) -> list[Utterance]:
                     offset_bytes=offset,
                     feature_dim=f_dim,
                 )
+            )
+    for feat_file, data in align_data.items():
+        if align_cursor[feat_file] != len(data):
+            align_path = os.path.splitext(os.path.join(corpus_dir, feat_file))[0] + ".align"
+            raise CorruptDataError(
+                f"{align_path}: {len(data)} bytes, but the manifest's utterances cover {align_cursor[feat_file]}"
             )
     return utterances
 

@@ -5,6 +5,8 @@ the versioned checkpoint format.
 Layer indices in configs are 1-based. The language-summary frame is the
 mean over time of layer i's output, prepended to the frame sequence, so
 every layer after i (and the final posterior) works on length T+1.
+``SshrModel.ctc_terms`` states the objective: the rows and targets of
+each scored posterior.
 
 A batch runs as one packed forward: the utterances' frames are stacked
 into a (sum T) x F matrix, every row-wise op runs once over all rows, and
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import tensor as tz
 from .config import Strict
-from .ctc import CtcPosterior, Vocabulary, ctc_head, ctc_loss, min_frames
+from .ctc import Vocabulary, ctc_head, ctc_loss, min_frames
 from .encoder import EncoderStack, StackConfig, cross_attention_layer, self_attention_layer
 from .errors import ConfigError, CorruptDataError, SshrError
 
@@ -93,11 +95,11 @@ def default_model_config(vocab: Vocabulary, feature_dim: int, seed: int = 0) -> 
 
 @dataclass
 class ForwardOutput:
-    """Packed posteriors; the final one holds ``lengths[b]`` rows of
-    utterance b, in batch order."""
+    """Packed log-prob posteriors, the final one and one per tap; the final
+    one holds ``lengths[b]`` rows of utterance b, in batch order."""
 
-    final: CtcPosterior
-    intermediates: list[CtcPosterior]
+    final: tz.Tensor
+    intermediates: list[tz.Tensor]
     lengths: tuple[int, ...]
     activations: list[np.ndarray] | None = None
 
@@ -112,39 +114,19 @@ def extract_and_splice_lid_frame(x: tz.Tensor, lengths=None) -> tz.Tensor:
     return tz.prepend_row(tz.mean_over_time(x, lengths), x, lengths)
 
 
-def make_targets(transcript, language, cfg: SshrConfig) -> list[int]:
-    """Vocabulary token ids for an utterance: phoneme tokens, with the
-    language-id token prepended when the config scores it."""
-    if not len(transcript):
-        raise ConfigError("transcript must be nonempty")
-    tokens = [cfg.vocab.phoneme_token(int(p)) for p in transcript]
-    if cfg.lid_in_targets:
-        return [cfg.vocab.lid_token(language)] + tokens
-    return tokens
-
-
-def total_loss(final: CtcPosterior, intermediates, targets, w: float, tap_targets=None) -> tz.Tensor:
-    """Combined objective: (1-w) * final CTC + w * mean of tap CTC losses.
-
-    ``tap_targets`` may supply one target sequence per tap (defaults to
-    ``targets`` for every tap). With no taps, w must be 0 and the final
-    loss is returned untouched.
+def total_loss(final_loss: tz.Tensor, tap_losses, w: float) -> tz.Tensor:
+    """Combined objective from scalar CTC losses: (1-w) * final + w * mean
+    of the taps. With no taps or w = 0 the final loss is returned
+    untouched; with no taps w must be 0.
     """
-    intermediates = list(intermediates)
-    k = len(intermediates)
+    k = len(tap_losses)
     if k == 0 and w != 0.0:
-        raise ConfigError("loss weight must be 0 when there are no intermediate posteriors")
-    final_loss = ctc_loss(final.log_probs, targets).loss
+        raise ConfigError("loss weight must be 0 when there are no tap losses")
     if k == 0 or w == 0.0:
         return final_loss
-    if tap_targets is None:
-        tap_targets = [targets] * k
-    if len(tap_targets) != k:
-        raise ConfigError(f"expected {k} tap target sequences, got {len(tap_targets)}")
-    tap_sum = None
-    for posterior, tt in zip(intermediates, tap_targets):
-        term = ctc_loss(posterior.log_probs, tt).loss
-        tap_sum = term if tap_sum is None else tz.add(tap_sum, term)
+    tap_sum = tap_losses[0]
+    for term in tap_losses[1:]:
+        tap_sum = tz.add(tap_sum, term)
     tap_mean = tz.scale(tap_sum, 1.0 / k)
     if w == 1.0:
         return tap_mean
@@ -182,9 +164,9 @@ class SshrModel:
         self.params["head.b"] = self.b_head
         self._pos_cache: dict[int, np.ndarray] = {}
 
-    def _head(self, x: tz.Tensor, layer: int) -> CtcPosterior:
+    def _head(self, x: tz.Tensor) -> tz.Tensor:
         normed = tz.layer_norm(x, self.head_norm_gain, self.head_norm_bias)
-        return ctc_head(normed, self.w_head, self.b_head, layer=layer)
+        return ctc_head(normed, self.w_head, self.b_head)
 
     @property
     def depth(self) -> int:
@@ -227,14 +209,12 @@ class SshrModel:
         acts = [x.values] if retain_activations else None
         lid_layer = self.cfg.lid_extract_layer
         taps = set(self.cfg.cross_taps)
-        posteriors: dict[int, CtcPosterior] = {}
-        intermediates: list[CtcPosterior] = []
+        posteriors: dict[int, tz.Tensor] = {}
         heads = self.cfg.stack.heads
         for pos, (spec, lp) in enumerate(zip(self.stack.specs, self.stack.layers), start=1):
             try:
                 if spec.kind == "cross_attention":
-                    tap = posteriors[spec.source]
-                    x = cross_attention_layer(tz.exp(tap.log_probs), x, lp, heads, lengths)
+                    x = cross_attention_layer(tz.exp(posteriors[spec.source]), x, lp, heads, lengths)
                 else:
                     x = self_attention_layer(x, lp, heads, lengths)
                 if acts is not None:
@@ -243,49 +223,41 @@ class SshrModel:
                     x = extract_and_splice_lid_frame(x, lengths)
                     lengths = tuple(n + 1 for n in lengths)
                 if pos in taps:
-                    posterior = self._head(x, layer=pos)
-                    posteriors[pos] = posterior
-                    intermediates.append(posterior)
+                    posteriors[pos] = self._head(x)
             except SshrError as err:
                 raise type(err)(f"layer {pos}: {err}") from err
-        final = self._head(x, layer=self.depth)
         return ForwardOutput(
-            final=final,
-            intermediates=intermediates,
+            final=self._head(x),
+            intermediates=list(posteriors.values()),
             lengths=lengths,
             activations=acts,
         )
 
-    def _rows(self, n_frames: int, layer: int) -> int:
-        """Rows of an utterance's posterior at ``layer``: one more once the
-        summary frame has been spliced in."""
-        lid = self.cfg.lid_extract_layer
-        return n_frames + int(lid is not None and layer >= lid)
+    def ctc_terms(self, n_frames: int, transcript, language) -> list[tuple[int, list[int]]]:
+        """The CTC objective of one utterance: ``(rows, targets)`` for the
+        final posterior, then for each tap in order.
 
-    def targets_for(self, transcript, language) -> list[int]:
-        return make_targets(transcript, language, self.cfg)
-
-    def tap_targets_for(self, transcript, language) -> list[list[int]]:
-        """Per-tap targets: language-prefixed once the tap sees the spliced
-        sequence, plain phoneme targets before the splice."""
-        lid_layer = self.cfg.lid_extract_layer
-        plain = [self.cfg.vocab.phoneme_token(int(p)) for p in transcript]
-        out = []
+        A posterior past the splice has one more row (the summary frame);
+        the targets are the phoneme tokens, with the language token first
+        on the final posterior and on every spliced tap when the config
+        scores it.
+        """
+        if not len(transcript):
+            raise ConfigError("transcript must be nonempty")
+        vocab, splice = self.cfg.vocab, self.cfg.lid_extract_layer
+        plain = [vocab.phoneme_token(int(p)) for p in transcript]
+        final = [vocab.lid_token(language)] + plain if self.cfg.lid_in_targets else plain
+        terms = [(n_frames + (splice is not None), final)]
         for j in self.cfg.cross_taps:
-            spliced = lid_layer is not None and j >= lid_layer
-            if spliced and self.cfg.lid_in_targets:
-                out.append([self.cfg.vocab.lid_token(language)] + plain)
-            else:
-                out.append(plain)
-        return out
+            spliced = splice is not None and j >= splice
+            terms.append((n_frames + spliced, final if spliced else plain))
+        return terms
 
     def feasible(self, n_frames: int, transcript, language) -> bool:
-        """Whether the final posterior and every tap posterior have enough
-        rows to emit their targets; lets a batch drop an utterance before
-        its forward instead of failing inside it."""
-        terms = [(self.depth, self.targets_for(transcript, language))]
-        terms += zip(self.cfg.cross_taps, self.tap_targets_for(transcript, language))
-        return all(min_frames(t) <= self._rows(n_frames, layer) for layer, t in terms)
+        """Whether every scored posterior has enough rows to emit its
+        targets; lets a batch drop an utterance before its forward instead
+        of failing inside it."""
+        return all(min_frames(t) <= rows for rows, t in self.ctc_terms(n_frames, transcript, language))
 
     def batch_loss(self, batch) -> tz.Tensor:
         """Mean combined loss of ``(features, transcript, language)``
@@ -299,19 +271,19 @@ class SshrModel:
             raise ConfigError("batch_loss needs at least one utterance")
         lengths = [np.shape(features)[0] for features, _, _ in batch]
         out = self.forward(np.concatenate([features for features, _, _ in batch]), lengths=lengths)
+        w = self.cfg.loss_weight
         posteriors = [out.final] + out.intermediates
+        scored = posteriors if w != 0.0 else posteriors[:1]
         starts = [0] * len(posteriors)
         total = None
         for n, (_, transcript, language) in zip(lengths, batch):
-            sliced = []
-            for i, posterior in enumerate(posteriors):
-                stop = starts[i] + self._rows(n, posterior.layer)
-                sliced.append(CtcPosterior(posterior.layer, tz.row_slice(posterior.log_probs, starts[i], stop)))
-                starts[i] = stop
-            term = total_loss(
-                sliced[0], sliced[1:], self.targets_for(transcript, language),
-                self.cfg.loss_weight, self.tap_targets_for(transcript, language),
-            )
+            terms = self.ctc_terms(n, transcript, language)
+            losses = [
+                ctc_loss(tz.row_slice(p, start, start + rows), targets).loss
+                for p, start, (rows, targets) in zip(scored, starts, terms)
+            ]
+            starts = [start + rows for start, (rows, _) in zip(starts, terms)]
+            term = total_loss(losses[0], losses[1:], w)
             total = term if total is None else tz.add(total, term)
         return tz.scale(total, 1.0 / len(batch))
 
@@ -323,7 +295,7 @@ class SshrModel:
 
         with tz.no_grad():
             out = self.forward(features)
-        return ctc_greedy_decode(out.final.log_probs)
+        return ctc_greedy_decode(out.final)
 
     # -- checkpoint format ---------------------------------------------
     # magic "SSHR1", u32 LE config-JSON length, canonical config JSON,
@@ -356,8 +328,9 @@ class SshrModel:
     @classmethod
     def load_bytes(cls, raw: bytes) -> "SshrModel":
         """Rebuild a model from ``save_bytes`` output. Every field is
-        length-checked: a truncated file, a config that is not JSON or
-        trailing bytes raise ``CorruptDataError``."""
+        length-checked: a truncated file, a config that is not JSON,
+        non-finite parameter data or trailing bytes raise
+        ``CorruptDataError``."""
         view = io.BytesIO(raw)
 
         def read(fmt, what):
@@ -389,7 +362,10 @@ class SshrModel:
             if shape != t.values.shape:
                 raise ConfigError(f"blob {name!r} shape {shape} != expected {t.values.shape}")
             (data,) = read(f"<{int(np.prod(shape, dtype=np.int64)) * 4}s", f"the data of blob {name!r}")
-            t.values = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+            values = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+            if not np.isfinite(values).all():
+                raise CorruptDataError(f"checkpoint blob {name!r} holds non-finite values")
+            t.values = values
         if view.read(1):
             raise CorruptDataError(f"checkpoint has {len(raw) - view.tell() + 1} trailing bytes")
         return model

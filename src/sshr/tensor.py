@@ -169,18 +169,6 @@ def add(a, b) -> Tensor:
     return _op(a.values + b.values, (a, b), backward_fn)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.values.shape != b.values.shape:
-        raise ConfigError(f"mul shapes differ: {a.values.shape} vs {b.values.shape}")
-    av, bv = a.values, b.values
-
-    def backward_fn(g):
-        return g * bv, g * av
-
-    return _op(av * bv, (a, b), backward_fn)
-
-
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
@@ -189,16 +177,6 @@ def scale(a, c: float) -> Tensor:
         return (g * c,)
 
     return _op(a.values * c, (a,), backward_fn)
-
-
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-    av = a.values
-
-    def backward_fn(g):
-        return (np.full(av.shape, float(g), dtype=av.dtype),)
-
-    return _op(av.sum(), (a,), backward_fn)
 
 
 def exp(a) -> Tensor:

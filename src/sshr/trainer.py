@@ -120,6 +120,8 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
     tcfg = train_cfg if isinstance(train_cfg, TrainConfig) else TrainConfig.from_dict(train_cfg)
     os.makedirs(out_dir, exist_ok=True)
     train_utts = load_split(corpus_dir, "train")
+    if not train_utts:
+        raise ConfigError(f"corpus {corpus_dir}: the train split has no utterances")
     dev_utts = load_split(corpus_dir, "dev")
     model = SshrModel(cfg)
     state = AdamState(model.params)

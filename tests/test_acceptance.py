@@ -13,7 +13,7 @@ import pytest
 
 from conftest import rand_log_softmax
 from sshr import tensor as tz
-from sshr.ctc import CtcPosterior, Vocabulary, ctc_brute_force, ctc_loss, min_frames
+from sshr.ctc import Vocabulary, ctc_brute_force, ctc_loss, min_frames
 from sshr.datagen import default_corpus_spec, generate_corpus, load_split
 from sshr.encoder import EncoderStack, StackConfig, Surgery, build_stack
 from sshr.evalkit import apply_variant, run_ablation
@@ -105,18 +105,19 @@ def test_criterion_2_gradient_suite():
 def test_criterion_3_combined_loss_degenerate_weights():
     rng = np.random.default_rng(5)
     targets = [1, 3, 2]
-    final = CtcPosterior(0, tz.Tensor(rand_log_softmax(rng, 8, 5)))
+    final = tz.Tensor(rand_log_softmax(rng, 8, 5))
     ok = True
     for k in (2, 3):
-        taps = [CtcPosterior(j, tz.Tensor(rand_log_softmax(rng, 8, 5))) for j in range(1, k + 1)]
-        w0 = total_loss(final, taps, targets, 0.0)
-        direct = ctc_loss(final.log_probs, targets).loss
+        taps = [tz.Tensor(rand_log_softmax(rng, 8, 5)) for _ in range(k)]
+        tap_losses = [ctc_loss(tap, targets).loss for tap in taps]
+        w0 = total_loss(ctc_loss(final, targets).loss, tap_losses, 0.0)
+        direct = ctc_loss(final, targets).loss
         ok &= w0.values.tobytes() == direct.values.tobytes()
 
-        w1 = total_loss(final, taps, targets, 1.0)
-        acc = float(ctc_loss(taps[0].log_probs, targets).loss.values)
+        w1 = total_loss(ctc_loss(final, targets).loss, tap_losses, 1.0)
+        acc = float(ctc_loss(taps[0], targets).loss.values)
         for tap in taps[1:]:
-            acc = acc + float(ctc_loss(tap.log_probs, targets).loss.values)
+            acc = acc + float(ctc_loss(tap, targets).loss.values)
         mean = acc * (1.0 / k)
         ok &= float(w1.values) == mean and w1.values.dtype == np.float64
     report(3, "w=0 reproduces the final CTC loss and w=1 the tap mean, bitwise in 64-bit", ok)
@@ -136,7 +137,7 @@ def test_criterion_4_length_law_and_decode(pinned_runs, default_corpus):
                 out = model.forward(utt.features, retain_activations=True)
             lid = model.cfg.lid_extract_layer
             length_ok &= out.seq_len == utt.n_frames + 1
-            length_ok &= out.final.log_probs.values.shape[0] == utt.n_frames + 1
+            length_ok &= out.final.values.shape[0] == utt.n_frames + 1
             length_ok &= all(
                 act.shape[0] == utt.n_frames + (1 if d > lid else 0)
                 for d, act in enumerate(out.activations)

@@ -1,10 +1,13 @@
 import json
 import shutil
+import struct
 
 import pytest
 
 from conftest import tiny_model_config
 from sshr.cli import main
+from sshr.ctc import Vocabulary
+from sshr.datagen import load_corpus_spec
 from sshr.model import SshrModel
 
 
@@ -88,6 +91,45 @@ class TestExitCodes:
         assert main(["eval", "--seed", "0", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "manifest.test.jsonl line 1" in err and "'zz'" in err
+
+    def test_non_finite_checkpoint_exits_1(self, cli_corpus, tmp_path, capsys):
+        raw = bytearray(SshrModel(tiny_model_config()).save_bytes())
+        raw[-4:] = struct.pack("<f", float("nan"))  # the last value of the last blob, head.b
+        path = tmp_path / "nan.sshr"
+        path.write_bytes(bytes(raw))
+        cfg = write_json(
+            tmp_path / "eval.json",
+            {"checkpoint": str(path), "corpus_dir": str(cli_corpus / "corpus"), "split": "test"},
+        )
+        assert main(["eval", "--seed", "0", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "'head.b'" in err and "non-finite" in err and "Traceback" not in err
+
+    def test_empty_train_split_exits_1(self, cli_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus / "corpus", corpus)
+        (corpus / "manifest.train.jsonl").write_text("")
+        path = write_json(tmp_path / "cfg.json", small_train_config(corpus))
+        assert main(["train", "--seed", "1", "--out", str(tmp_path / "run"), "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert str(corpus) in err and "train split" in err and "Traceback" not in err
+
+    def test_negative_probe_k_exits_1(self, cli_corpus, tmp_path, capsys):
+        spec = load_corpus_spec(cli_corpus / "corpus")
+        vocab = Vocabulary(spec.phoneme_symbols, spec.language_names)
+        path = tmp_path / "m.sshr"
+        SshrModel(tiny_model_config(vocab=vocab, feature_dim=spec.feature_dim)).save(path)
+        cfg = write_json(tmp_path / "probe.json", {"checkpoint": str(path), "corpus_dir": str(cli_corpus / "corpus")})
+        assert main(["probe", "--k", "-3", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
+        assert "--k" in capsys.readouterr().err
+
+    def test_zero_ablate_jobs_exits_1(self, cli_corpus, tmp_path, capsys):
+        path = write_json(tmp_path / "cfg.json", small_train_config(cli_corpus / "corpus"))
+        ladder = write_json(tmp_path / "ladder.json", ["B0"])
+        argv = ["ablate", "--jobs", "0", "--seeds", "1", "--ladder", ladder, "--out", str(tmp_path / "run"), "--config", path]
+        assert main(argv) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "B0").exists()
 
 
 class TestHelp:

@@ -205,17 +205,17 @@ class TestCtcHead:
         hidden = tz.Tensor(np.zeros((3, 4)))
         w = tz.Tensor(np.zeros((4, 5)))
         b = tz.Tensor(np.zeros(5))
-        post = ctc_head(hidden, w, b, layer=1)
-        assert np.allclose(post.log_probs.values, np.log(0.2))
+        post = ctc_head(hidden, w, b)
+        assert np.allclose(post.values, np.log(0.2))
 
     def test_identical_rows_identical_posteriors(self):
         rng = np.random.default_rng(29)
         hidden = tz.Tensor(np.tile(rng.normal(size=4), (5, 1)))
         w = tz.Tensor(rng.normal(size=(4, 6)))
         b = tz.Tensor(rng.normal(size=6))
-        post = ctc_head(hidden, w, b, layer=2).log_probs.values
+        post = ctc_head(hidden, w, b).values
         assert np.allclose(post, post[0])
 
     def test_width_mismatch(self):
         with pytest.raises(ConfigError):
-            ctc_head(tz.Tensor(np.zeros((2, 3))), tz.Tensor(np.zeros((4, 5))), tz.Tensor(np.zeros(5)), layer=0)
+            ctc_head(tz.Tensor(np.zeros((2, 3))), tz.Tensor(np.zeros((4, 5))), tz.Tensor(np.zeros(5)))

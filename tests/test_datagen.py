@@ -133,6 +133,13 @@ class TestLoading:
             load_split(tmp_path, "dev")
         assert "manifest.dev.jsonl line 3" in str(err.value)
 
+    def test_alignment_shard_longer_than_manifest_rejected(self, tmp_path):
+        generate_corpus(small_spec(), tmp_path)
+        path = tmp_path / "test.align"
+        path.write_bytes(path.read_bytes() + b"\x01\x00" * 7)  # 7 more frames
+        with pytest.raises(CorruptDataError, match="test.align"):
+            load_split(tmp_path, "test")
+
     def test_spec_round_trips_through_json(self, tmp_path):
         spec = small_spec()
         generate_corpus(spec, tmp_path)

@@ -7,17 +7,10 @@ import pytest
 
 from conftest import rand_log_softmax, tiny_model_config, tiny_vocab
 from sshr import tensor as tz
-from sshr.ctc import CtcPosterior, ctc_loss
+from sshr.ctc import ctc_loss, min_frames
 from sshr.errors import ConfigError, CorruptDataError
 from sshr.evalkit import apply_variant
-from sshr.model import (
-    SshrConfig,
-    SshrModel,
-    default_model_config,
-    extract_and_splice_lid_frame,
-    make_targets,
-    total_loss,
-)
+from sshr.model import SshrConfig, SshrModel, default_model_config, extract_and_splice_lid_frame, total_loss
 
 
 class TestSplice:
@@ -42,63 +35,116 @@ class TestSplice:
 
 
 class TestMakeTargets:
+    """The targets ``SshrModel.ctc_terms`` gives the final posterior."""
+
+    @staticmethod
+    def final_targets(transcript, language, cfg):
+        return SshrModel(cfg).ctc_terms(len(transcript) + 1, transcript, language)[0][1]
+
     def test_plain_when_disabled(self):
         cfg = tiny_model_config()
-        assert make_targets([0, 2, 1], "L0", cfg) == [1, 3, 2]
+        assert self.final_targets([0, 2, 1], "L0", cfg) == [1, 3, 2]
 
     def test_lid_prefix(self):
         vocab = tiny_vocab(n_phonemes=8, n_langs=3)
         cfg = tiny_model_config(vocab=vocab, lid_in_targets=True)
-        out = make_targets([5, 7], "L2", cfg)
+        out = self.final_targets([5, 7], "L2", cfg)
         assert out == [vocab.lid_token("L2"), 6, 8]
 
     def test_round_trip_strip(self):
         vocab = tiny_vocab(n_phonemes=8, n_langs=3)
         cfg = tiny_model_config(vocab=vocab, lid_in_targets=True)
         transcript = [3, 1, 4]
-        tokens = make_targets(transcript, "L1", cfg)
+        tokens = self.final_targets(transcript, "L1", cfg)
         assert vocab.strip_lid(tokens) == [p + 1 for p in transcript]
         assert 0 not in tokens
 
     def test_unknown_language(self):
         cfg = tiny_model_config(lid_in_targets=True)
         with pytest.raises(ConfigError):
-            make_targets([1], "L7", cfg)
+            self.final_targets([1], "L7", cfg)
 
     def test_empty_transcript(self):
         with pytest.raises(ConfigError):
-            make_targets([], "L0", tiny_model_config())
+            self.final_targets([], "L0", tiny_model_config())
 
 
-def _posterior_with_loss(value: float, targets=(1,)) -> CtcPosterior:
-    # T'=1 forced alignment: loss is exactly -log p(target) = value
-    lp = np.full((1, 3), -50.0)
-    lp[0, targets[0]] = -value
-    return CtcPosterior(layer=0, log_probs=tz.Tensor(lp))
+# variant -> per posterior (final first, then each tap): (extra rows, LID first)
+_TERMS = {
+    "B0": [(0, False)],
+    "C1": [(1, True)],
+    "C3": [(0, False), (0, False), (0, False)],
+    "C4": [(1, True), (1, True), (1, True)],
+    "D2": [(0, True)],
+    "D3": [(1, True)],
+    "F2": [(0, False), (0, False)],
+    "tap_below_splice": [(1, True), (0, False), (1, True)],
+}
+
+
+class TestCtcTerms:
+    """Rows and targets of every scored posterior, pinned per variant at
+    depth 8 (splice at layer 3, or 1 for D3; taps at 5 and 7, at 7 for F2,
+    at 4 and 6 after C4's trim), plus a tap below the splice (splice at 5,
+    taps at 3 and 6)."""
+
+    @staticmethod
+    def model(name):
+        base = default_model_config(tiny_vocab(), 4)
+        base["stack"].update({"hidden": 8, "heads": 2, "ffn": 16})
+        if name == "tap_below_splice":
+            cfg = {**base, "lid_extract_layer": 5, "lid_in_targets": True, "cross_taps": [3, 6], "loss_weight": 0.5}
+        else:
+            cfg = apply_variant(base, name)
+        return SshrModel(SshrConfig.from_dict(cfg))
+
+    @pytest.mark.parametrize("name", list(_TERMS))
+    def test_rows_and_targets(self, name):
+        model = self.model(name)
+        transcript, n = [0, 2, 2], 6
+        plain = [1, 3, 3]
+        lid = model.cfg.vocab.lid_token("L1")
+        expected = [(n + extra, [lid] + plain if lid_first else plain) for extra, lid_first in _TERMS[name]]
+        assert model.ctc_terms(n, transcript, "L1") == expected
+
+    @pytest.mark.parametrize("name", list(_TERMS))
+    def test_feasible_agrees_with_min_frames_on_every_term(self, name):
+        model = self.model(name)
+        transcript = [0, 2, 2]  # the repeat needs a blank: 4 rows, 5 with the language token
+        needs = [4 + lid_first - extra for extra, lid_first in _TERMS[name]]
+        for n in range(1, 8):
+            terms = model.ctc_terms(n, transcript, "L0")
+            assert [min_frames(t) - rows + n for rows, t in terms] == needs
+            assert model.feasible(n, transcript, "L0") == all(min_frames(t) <= rows for rows, t in terms)
+            assert model.feasible(n, transcript, "L0") == (n >= max(needs))
+
+
+def t_scalar(value: float) -> tz.Tensor:
+    return tz.Tensor(np.float64(value))
 
 
 class TestTotalLoss:
+    """The combination of scalar CTC losses."""
+
     def test_w_zero_is_final_loss_bitwise(self):
         rng = np.random.default_rng(0)
-        final = CtcPosterior(0, tz.Tensor(rand_log_softmax(rng, 6, 4)))
-        taps = [CtcPosterior(1, tz.Tensor(rand_log_softmax(rng, 6, 4)))]
         targets = [1, 2]
-        combined = total_loss(final, taps, targets, 0.0)
-        direct = ctc_loss(final.log_probs, targets).loss
-        assert combined.values.tobytes() == direct.values.tobytes()
+        final = ctc_loss(rand_log_softmax(rng, 6, 4), targets).loss
+        taps = [ctc_loss(rand_log_softmax(rng, 6, 4), targets).loss]
+        combined = total_loss(final, taps, 0.0)
+        assert combined.values.tobytes() == final.values.tobytes()
 
     def test_w_one_is_mean_of_taps(self):
-        taps = [_posterior_with_loss(2.0), _posterior_with_loss(4.0)]
-        out = total_loss(_posterior_with_loss(9.0), taps, [1], 1.0)
+        out = total_loss(t_scalar(9.0), [t_scalar(2.0), t_scalar(4.0)], 1.0)
         assert float(out.values) == 3.0
 
     def test_half_weight_direct_arithmetic(self):
-        out = total_loss(_posterior_with_loss(1.0), [_posterior_with_loss(3.0)], [1], 0.5)
+        out = total_loss(t_scalar(1.0), [t_scalar(3.0)], 0.5)
         assert float(out.values) == 2.0
 
     def test_no_taps_requires_zero_weight(self):
         with pytest.raises(ConfigError):
-            total_loss(_posterior_with_loss(1.0), [], [1], 0.5)
+            total_loss(t_scalar(1.0), [], 0.5)
 
     def test_monotone_in_each_term(self):
         rng = np.random.default_rng(1)
@@ -107,11 +153,7 @@ class TestTotalLoss:
         base_tap = rand_log_softmax(rng, 5, 4)
 
         def value(final_lp, tap_lp, w=0.5):
-            return float(
-                total_loss(
-                    CtcPosterior(0, tz.Tensor(final_lp)), [CtcPosterior(1, tz.Tensor(tap_lp))], targets, w
-                ).values
-            )
+            return float(total_loss(ctc_loss(final_lp, targets).loss, [ctc_loss(tap_lp, targets).loss], w).values)
 
         base = value(base_final, base_tap)
         worse_final = base_final.copy()
@@ -120,11 +162,6 @@ class TestTotalLoss:
         worse_tap = base_tap.copy()
         worse_tap[:, 1] -= 1.0
         assert value(base_final, worse_tap) >= base
-
-    def test_per_tap_targets(self):
-        taps = [_posterior_with_loss(2.0, targets=(1,)), _posterior_with_loss(4.0, targets=(2,))]
-        out = total_loss(_posterior_with_loss(1.0), taps, [1], 0.5, tap_targets=[[1], [2]])
-        assert float(out.values) == 0.5 * 1.0 + 0.5 * 3.0
 
 
 class TestForward:
@@ -140,7 +177,7 @@ class TestForward:
         model = SshrModel(cfg)
         out = model.forward(np.zeros((10, 4), np.float32))
         assert out.seq_len == 11
-        assert out.final.log_probs.values.shape[0] == 11
+        assert out.final.values.shape[0] == 11
 
     def test_sequence_length_law(self):
         cfg = tiny_model_config(depth=4, lid_extract_layer=2, lid_in_targets=True, cross_taps=[3], loss_weight=0.5)
@@ -153,8 +190,11 @@ class TestForward:
     def test_tap_posteriors_routed(self):
         cfg = tiny_model_config(depth=4, cross_taps=[2, 3], loss_weight=0.5)
         model = SshrModel(cfg)
-        out = model.forward(np.random.default_rng(0).normal(size=(5, 4)).astype(np.float32))
-        assert [p.layer for p in out.intermediates] == [2, 3]
+        out = model.forward(np.random.default_rng(0).normal(size=(5, 4)).astype(np.float32), retain_activations=True)
+        assert len(out.intermediates) == 2
+        for tap, posterior in zip(cfg.cross_taps, out.intermediates):
+            head = model._head(tz.Tensor(out.activations[tap]))
+            assert np.array_equal(posterior.values, head.values)
 
     def test_feature_width_checked(self):
         model = SshrModel(tiny_model_config())
@@ -179,9 +219,9 @@ class TestForward:
         model = SshrModel(cfg)
         feats = np.random.default_rng(2).normal(size=(6, 4)).astype(np.float32)
         out = model.forward(feats)
-        loss = ctc_loss(out.final.log_probs, [1, 2]).loss
+        loss = ctc_loss(out.final, [1, 2]).loss
         flow = tz.backward(loss, seed=np.asarray(1.0, dtype=np.float32))
-        tap_grad = flow.get(out.intermediates[0].log_probs)
+        tap_grad = flow.get(out.intermediates[0])
         assert tap_grad is not None and np.linalg.norm(tap_grad) > 0
 
     def test_pinned_toy_defaults(self):
@@ -291,6 +331,12 @@ class TestCheckpoint:
         with pytest.raises(CorruptDataError, match="trailing"):
             SshrModel.load_bytes(self._saved_bytes() + b"\x00")
 
+    def test_non_finite_blob_raises_corrupt_data(self):
+        raw = bytearray(self._saved_bytes())
+        raw[-4:] = struct.pack("<f", float("nan"))
+        with pytest.raises(CorruptDataError, match="'head.b'.*non-finite"):
+            SshrModel.load_bytes(bytes(raw))
+
     def test_non_json_config_raises_corrupt_data(self):
         raw = self._saved_bytes()
         (cfg_len,) = struct.unpack("<I", raw[5:9])
@@ -304,8 +350,8 @@ class TestCheckpoint:
         model.save(path)
         clone = SshrModel.load(path)
         feats = np.random.default_rng(5).normal(size=(8, 4)).astype(np.float32)
-        a = model.forward(feats).final.log_probs.values
-        b = clone.forward(feats).final.log_probs.values
+        a = model.forward(feats).final.values
+        b = clone.forward(feats).final.values
         assert np.array_equal(a, b)
 
 
@@ -361,7 +407,7 @@ class TestPackedEquivalence:
         out = model.forward(feats, retain_activations=True, lengths=frames)
         assert out.lengths == (4, 10, 2)
         assert [a.shape[0] for a in out.activations] == [13, 13, 13, 16, 16]  # layer 2 before the splice
-        assert out.intermediates[0].log_probs.values.shape[0] == 16
+        assert out.intermediates[0].values.shape[0] == 16
 
     def test_lengths_must_partition_rows(self):
         model = SshrModel(tiny_model_config())

@@ -29,11 +29,10 @@ class TestMatmul:
         rng = np.random.default_rng(0)
         a = t64(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         b = t64(rng.uniform(-1, 1, (4, 2)))
-        loss = tz.sum_all(self.matmul(a, b))
-        flow = tz.backward(loss)
+        flow = tz.backward(self.matmul(a, b))  # seeded with ones: the gradient of the sum
         expected = np.broadcast_to(b.values.sum(axis=1), (3, 4))
         assert np.allclose(flow[a], expected)
-        numeric = finite_difference_gradient(lambda: float(tz.sum_all(self.matmul(a, b)).values), a.values)
+        numeric = finite_difference_gradient(lambda: float(self.matmul(a, b).values.sum()), a.values)
         assert relative_error(flow[a], numeric) < 1e-4
 
     def test_dim_mismatch(self):
@@ -144,7 +143,7 @@ class TestPackedSegments:
         x = t64(np.arange(8.0).reshape(4, 2), requires_grad=True)
         part = tz.row_slice(x, 1, 3)
         assert np.shares_memory(part.values, x.values)
-        flow = tz.backward(tz.sum_all(part))
+        flow = tz.backward(part)
         assert np.array_equal(flow[x], [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
 
 
@@ -167,11 +166,6 @@ class TestBackward:
         flow = tz.backward(tz.scale(x, 1.0), seed=np.ones((1, 1)))
         assert np.array_equal(flow[x], [[1.0]])
 
-    def test_sum_of_squares(self):
-        x = t64([[1.0, 2.0, 3.0]], requires_grad=True)
-        tz.backward(tz.sum_all(tz.mul(x, x)))
-        assert np.array_equal(x.grad, [[2.0, 4.0, 6.0]])
-
     def test_seed_shape_mismatch(self):
         x = t64([[1.0, 2.0]], requires_grad=True)
         out = tz.scale(x, 2.0)
@@ -180,7 +174,7 @@ class TestBackward:
 
     def test_accumulation_across_calls(self):
         x = t64([1.0, 2.0], requires_grad=True)
-        out = tz.sum_all(tz.mul(x, x))
+        out = tz.exp(x)
         tz.backward(out)
         once = x.grad.copy()
         tz.backward(out)
@@ -191,7 +185,7 @@ class TestBackward:
         x = tz.Tensor(rng.normal(size=(4, 6)).astype(np.float32), requires_grad=True)
         w = tz.Tensor(rng.normal(size=(6, 6)).astype(np.float32), requires_grad=True)
         ones, zeros = tz.Tensor(np.ones(6, np.float32)), tz.Tensor(np.zeros(6, np.float32))
-        out = tz.sum_all(tz.gelu(tz.linear(tz.layer_norm(x, ones, zeros), w, zeros)))
+        out = tz.gelu(tz.linear(tz.layer_norm(x, ones, zeros), w, zeros))
         tz.backward(out)
         g1 = (x.grad.copy(), w.grad.copy())
         x.zero_grad()
@@ -202,7 +196,7 @@ class TestBackward:
     def test_record_is_topological(self):
         x = t64([[1.0, 2.0]], requires_grad=True)
         y = tz.add(x, x)
-        z = tz.sum_all(tz.mul(y, y))
+        z = tz.add(tz.exp(y), y)
         record = tz.linearize(z)
         position = {id(t): i for i, t in enumerate(record)}
         for node in record:
@@ -211,9 +205,10 @@ class TestBackward:
 
     def test_diamond_gradient(self):
         x = t64([[1.0, -0.5, 0.25]], requires_grad=True)
-        out = tz.sum_all(tz.mul(tz.add(x, x), x))  # 2*x^2 summed
+        y = tz.add(x, x)
+        out = tz.add(tz.exp(y), y)  # y feeds two paths: d/dx = 2 exp(2x) + 2
         flow = tz.backward(out)
-        assert np.allclose(flow[x], 4.0 * x.values)
+        assert np.allclose(flow[x], 2.0 * np.exp(2.0 * x.values) + 2.0)
 
 
 class TestFiniteChecks:
@@ -239,7 +234,7 @@ class TestNoGrad:
 def test_primitive_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
     x = tz.Tensor(rng.uniform(-1, 1, (4, 6)), requires_grad=True)
-    proj = tz.Tensor(rng.uniform(-1, 1, (4, 6)))
+    proj = rng.uniform(-1, 1, (4, 6))
     for op in (tz.gelu, tz.exp, lambda t: tz.log_softmax_rows(t)):
-        err = check_scalar_graph(lambda: tz.sum_all(tz.mul(op(x), proj)), {"x": x})
+        err = check_scalar_graph(lambda: op(x), {"x": x}, proj)
         assert err < 1e-4
