@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import overlay
 from .ctc import Vocabulary
@@ -126,7 +126,6 @@ class ExperimentResult:
     dev_per: float
     test_per: float
     lid_acc: float | None
-    wall_clock_sec: float = field(default=0.0, compare=False)
 
 
 DEFAULT_LADDER = ("B0", "C1", "C2", "C3", "C4")
@@ -236,7 +235,6 @@ def run_ablation(
                 dev_per=outcome["dev_per"],
                 test_per=outcome["test_per"],
                 lid_acc=outcome["lid_acc"],
-                wall_clock_sec=outcome["wall_clock_sec"],
             )
         )
 

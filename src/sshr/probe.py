@@ -33,6 +33,9 @@ def collect_layer_data(model, utterances):
     lang_labels: list[int] = []
     frame_labels: list[np.ndarray] = []
     languages = model.cfg.vocab.languages
+    for utt in utterances:
+        if utt.lang not in languages:
+            raise ConfigError(f"utterance language {utt.lang!r} is not one of the checkpoint's languages {list(languages)}")
     with tz.no_grad():
         for utt in utterances:
             out = model.forward(utt.features, retain_activations=True)

@@ -1,18 +1,19 @@
-"""Deterministic fine-tuning loop: Adam, gradient accumulation, eval-time
-metrics, and checkpointing.
+"""Deterministic fine-tuning loop: Adam, eval-time metrics, and
+checkpointing.
 
 Every source of randomness flows from the training seed, so two runs with
 identical configs produce byte-identical checkpoints and metric logs.
-Each micro-batch is one packed forward/backward. Utterances whose frame
-count cannot emit their targets are left out before the forward and
-counted, never fatal; a step left with no utterance makes no update.
+One optimizer step is one batch of ``batch_size`` utterances and one
+packed forward/backward; a larger effective batch is a larger
+``batch_size``. Utterances whose frame count cannot emit their targets are
+left out before the forward and counted, never fatal; a step left with no
+utterance makes no update.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -31,7 +32,6 @@ class TrainConfig(Strict):
     steps: int = 2000
     lr: float = 1e-3
     warmup_steps: int = 100
-    grad_accum: int = 1
     batch_size: int = 8
     seed: int = 1
     checkpoint_interval: int = 1000
@@ -43,8 +43,6 @@ class TrainConfig(Strict):
         for name in ("lr", "warmup_steps", "batch_size", "checkpoint_interval", "eval_interval"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"train config {name} must be positive")
-        if self.grad_accum < 1:
-            raise ConfigError("grad_accum must be >= 1")
 
 
 class AdamState:
@@ -93,20 +91,13 @@ def _batch_stream(utterances, batch_size: int, rng: np.random.Generator):
             yield [utterances[i] for i in order[start : start + batch_size]]
 
 
-def accumulate_gradients(model: SshrModel, micro_batches) -> list[float]:
-    """Add the gradient of one step's loss into the parameters' ``.grad``.
-
-    The step's loss is the mean over the non-empty micro-batches of each
-    one's mean utterance loss, so every backward is seeded with 1/(number
-    of non-empty micro-batches). Returns those micro-batch losses.
-    """
-    filled = [utts for utts in micro_batches if utts]
-    losses = []
-    for utts in filled:
-        loss = model.batch_loss([(u.features, u.transcript, u.lang) for u in utts])
-        tz.backward(loss, seed=np.asarray(1.0 / len(filled), dtype=loss.values.dtype))
-        losses.append(loss.item())
-    return losses
+def _backward_step(model: SshrModel, utts) -> float:
+    """Add the gradient of the batch's mean utterance loss into the
+    parameters' ``.grad`` and return that loss. The step's graph dies with
+    this frame, so it is freed before the next step's forward."""
+    loss = model.batch_loss([(u.features, u.transcript, u.lang) for u in utts])
+    tz.backward(loss)
+    return loss.item()
 
 
 def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
@@ -135,16 +126,12 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
     with open(metrics_path, "w", encoding="utf-8") as metrics_fh:
         for step in range(1, tcfg.steps + 1):
             lr_t = tcfg.lr * min(1.0, step / tcfg.warmup_steps)
-            micro_batches = []
-            for _ in range(tcfg.grad_accum):
-                batch = next(batches)
-                kept = [u for u in batch if model.feasible(u.n_frames, u.transcript, u.lang)]
-                skipped += len(batch) - len(kept)
-                micro_batches.append(kept)
+            batch = next(batches)
+            kept = [u for u in batch if model.feasible(u.n_frames, u.transcript, u.lang)]
+            skipped += len(batch) - len(kept)
             model.zero_grads()
-            step_losses = accumulate_gradients(model, micro_batches)
-            if step_losses:
-                losses_since_eval.append(sum(step_losses) / len(step_losses))
+            if kept:
+                losses_since_eval.append(_backward_step(model, kept))
                 grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
                 adam_step(model.params, grads, state, lr_t)
             if step % tcfg.eval_interval == 0 or step == tcfg.steps:
@@ -176,7 +163,6 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
 def run_single_experiment(model_cfg: dict, train_cfg: dict, corpus_dir, run_dir) -> dict:
     """Train one configuration, then score test (dev was scored at the
     final step); the unit of work the ablation ladder fans out."""
-    started = time.perf_counter()
     summary = train(model_cfg, train_cfg, corpus_dir, run_dir)
     model = SshrModel.load(summary["checkpoint"])
     dev = summary["dev"]
@@ -186,9 +172,8 @@ def run_single_experiment(model_cfg: dict, train_cfg: dict, corpus_dir, run_dir)
         "test_per": test["per"],
         "lid_acc": test["lid_acc"],
         "skipped_utterances": summary["skipped_utterances"],
-        "wall_clock_sec": time.perf_counter() - started,
     }
     with open(os.path.join(run_dir, "eval.json"), "w", encoding="utf-8") as fh:
-        json.dump({k: v for k, v in result.items() if k != "wall_clock_sec"}, fh, sort_keys=True, indent=1)
+        json.dump(result, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return result

@@ -123,6 +123,17 @@ class TestExitCodes:
         assert main(["probe", "--k", "-3", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
         assert "--k" in capsys.readouterr().err
 
+    def test_probe_with_a_checkpoint_lacking_a_corpus_language_exits_1(self, cli_corpus, tmp_path, capsys):
+        spec = load_corpus_spec(cli_corpus / "corpus")
+        vocab = Vocabulary(spec.phoneme_symbols, spec.language_names[:2])
+        path = tmp_path / "m.sshr"
+        SshrModel(tiny_model_config(vocab=vocab, feature_dim=spec.feature_dim)).save(path)
+        cfg = write_json(tmp_path / "probe.json", {"checkpoint": str(path), "corpus_dir": str(cli_corpus / "corpus")})
+        assert main(["probe", "--k", "4", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert any(repr(lang) in err for lang in spec.language_names[2:])
+        assert str(list(vocab.languages)) in err and "Traceback" not in err
+
     def test_zero_ablate_jobs_exits_1(self, cli_corpus, tmp_path, capsys):
         path = write_json(tmp_path / "cfg.json", small_train_config(cli_corpus / "corpus"))
         ladder = write_json(tmp_path / "ladder.json", ["B0"])
@@ -275,6 +286,7 @@ class TestMalformedConfigs:
         ("eval", ("checkpoint",), 5, "config.checkpoint"),
         ("ablate", ("ladder", 0, "id"), 3, "ladder[0].id"),
         ("ablate", ("ladder", 0, "model", "stack", "depth"), "6", "ladder.x.model.stack.depth"),
+        ("train", ("train", "grad_accum"), 2, "train.grad_accum"),
     ])
     def test_exit_1_naming_the_key(self, cli_corpus, tmp_path, capsys, command, path, value, named):
         corpus = cli_corpus / "corpus"

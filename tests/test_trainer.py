@@ -1,3 +1,4 @@
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -10,7 +11,7 @@ from sshr.datagen import default_corpus_spec, generate_corpus, load_split
 from sshr.errors import ConfigError
 from sshr.gradcheck import REL_TOL, check_scalar_graph, gradcheck_suite
 from sshr.model import SshrModel
-from sshr.trainer import AdamState, TrainConfig, accumulate_gradients, adam_step, train
+from sshr.trainer import AdamState, TrainConfig, adam_step, train
 
 
 def scalar_params(value):
@@ -45,7 +46,7 @@ class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
         assert cfg.steps == 2000 and cfg.lr == 1e-3 and cfg.warmup_steps == 100
-        assert cfg.grad_accum == 1 and cfg.batch_size == 8
+        assert cfg.batch_size == 8
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -53,45 +54,7 @@ class TestTrainConfig:
 
     def test_invalid_values(self):
         with pytest.raises(ConfigError):
-            TrainConfig(grad_accum=0)
-        with pytest.raises(ConfigError):
             TrainConfig(batch_size=0)
-
-
-class TestGradAccumulation:
-    def test_accumulation_matches_concatenated_batch(self, small_corpus, small_vocab):
-        utts = load_split(small_corpus, "train")[:4]
-        cfg = tiny_model_config(vocab=small_vocab, depth=2, hidden=8, heads=2, ffn=16, feature_dim=16, seed=3)
-
-        def one_step(groups):
-            model = SshrModel(cfg, dtype=np.float64)
-            state = AdamState(model.params)
-            model.zero_grads()
-            accumulate_gradients(model, groups)
-            grads = {n: p.grad for n, p in model.params.items() if p.grad is not None}
-            adam_step(model.params, grads, state, lr=1e-3)
-            return {n: p.values.copy() for n, p in model.params.items()}
-
-        accumulated = one_step([utts[:2], utts[2:]])
-        concatenated = one_step([utts])
-        for name in accumulated:
-            assert np.allclose(accumulated[name], concatenated[name], atol=1e-6)
-
-    def test_empty_micro_batch_does_not_rescale(self, small_corpus, small_vocab):
-        utts = load_split(small_corpus, "train")[:3]
-        cfg = tiny_model_config(vocab=small_vocab, depth=2, hidden=8, heads=2, ffn=16, feature_dim=16, seed=3)
-
-        def gradients(groups):
-            model = SshrModel(cfg, dtype=np.float64)
-            model.zero_grads()
-            losses = accumulate_gradients(model, groups)
-            return losses, {n: p.grad for n, p in model.params.items()}
-
-        with_empty, grads_with_empty = gradients([[], utts])
-        alone, grads_alone = gradients([utts])
-        assert with_empty == alone
-        for name, g in grads_alone.items():
-            assert np.array_equal(grads_with_empty[name], g), name
 
 
 class TestTrainLoop:
@@ -129,6 +92,22 @@ class TestTrainLoop:
         lines = [json.loads(l) for l in open(summary["metrics"])]
         assert len(lines) == 2
         assert set(lines[0]) == {"step", "loss", "dev_per", "dev_lid_acc"}
+
+    def test_step_graph_freed_before_next_forward(self, small_corpus, small_vocab, tmp_path, monkeypatch):
+        # a step's graph still alive at the next forward holds two graphs at once and raises peak memory
+        refs = []
+        real_batch_loss = SshrModel.batch_loss
+
+        def spy(model, batch):
+            assert all(ref() is None for ref in refs), "an earlier step's loss is still alive"
+            loss = real_batch_loss(model, batch)
+            refs.append(weakref.ref(loss.values))
+            return loss
+
+        monkeypatch.setattr(SshrModel, "batch_loss", spy)
+        cfg = tiny_model_config(vocab=small_vocab, depth=2, hidden=8, heads=2, ffn=16, feature_dim=16, seed=4)
+        train(cfg, {"steps": 3, "seed": 4, "eval_interval": 3, "batch_size": 2}, small_corpus, tmp_path)
+        assert len(refs) == 3
 
     def test_loss_decreases_over_first_50_steps(self, small_corpus, small_vocab, tmp_path):
         import json
