@@ -103,51 +103,53 @@ def _extended(targets):
 def _forward_backward(log_probs: np.ndarray, targets):
     """Log-space alpha/beta recursions; returns (loss, dloss/dlog_probs).
 
-    Alpha rows and the beta step buffer carry two -inf pad columns, so
-    every shifted read is a slice and every frame is a few ufuncs writing
-    into preallocated rows. The gradient is the state
-    occupancy exp(alpha + beta - log p) folded onto labels by a
-    states x labels one-hot product.
+    Both recursions run in one sweep over time. A row of 2S+4 columns
+    holds ``[-inf, -inf, alpha_t, -inf, -inf, gamma_{T-1-t}]``, where
+    gamma = beta + emission and its S states are stored in reverse order,
+    so that beta's s+1 and s+2 reads become the same left shifts as
+    alpha's s-1 and s-2 reads. Each frame is four ufuncs over the whole
+    row into preallocated rows: ``pre`` holds the recursion before the
+    emission is added (beta itself in the back half) and ``post`` after.
+    The emission row has -inf in the middle pads, so they stay -inf. The
+    gradient is the state occupancy exp(alpha + beta - log p) folded onto
+    labels by a states x labels one-hot product.
     """
     t_len, n_classes = log_probs.shape
     ext = _extended(targets)
     s_len = ext.size
-    emit = log_probs[:, ext]  # T x S
+    width = 2 * s_len + 2  # both halves and the two pads between them
+    neg_inf = -np.inf
+    emit = np.full((t_len, width), neg_inf)  # frame t's emissions, then frame T-1-t's reversed
+    emit[:, :s_len] = log_probs[:, ext]
+    emit[:, s_len + 2 :] = log_probs[::-1, ext[::-1]]
     can_skip = np.zeros(s_len, dtype=bool)
     can_skip[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
-    neg_inf = -np.inf
     skip_in = np.where(can_skip, 0.0, neg_inf)  # s-2 -> s allowed
-    skip_out = np.full(s_len, neg_inf)  # s -> s+2 allowed
-    skip_out[:-2] = skip_in[2:]
-    buf = np.empty(s_len)
+    skip = np.full(width, neg_inf)
+    skip[:s_len] = skip_in
+    skip[s_len + 4 :] = skip_in[:1:-1]  # s -> s+2 allowed, in reversed order
+    buf = np.empty(width)
 
-    alpha = np.full((t_len, s_len + 2), neg_inf)  # state s in column s+2
-    alpha[0, 2:4] = emit[0, :2]  # targets are nonempty, so S >= 3
+    pre = np.full((t_len, width), neg_inf)
+    # alpha starts in the first two states and beta_{T-1} is 0 in the last
+    # two; targets are nonempty, so S >= 3
+    pre[0, [0, 1, s_len + 2, s_len + 3]] = 0.0
+    post = np.full((t_len, width + 2), neg_inf)
+    np.add(pre[0], emit[0], out=post[0, 2:])
     for t in range(1, t_len):
-        prev, cur = alpha[t - 1], alpha[t, 2:]
+        prev, cur = post[t - 1], pre[t]
         np.logaddexp(prev[2:], prev[1:-1], out=cur)
-        np.add(prev[:-2], skip_in, out=buf)
+        np.add(prev[:-2], skip, out=buf)
         np.logaddexp(cur, buf, out=cur)
-        cur += emit[t]
+        np.add(cur, emit[t], out=post[t, 2:])
 
-    log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    log_p = np.logaddexp(post[-1, s_len + 1], post[-1, s_len])
     if not np.isfinite(log_p):
         raise CtcInfeasibleError(
             f"no feasible alignment: {t_len} frames for {len(targets)} targets"
         )
 
-    beta = np.full((t_len, s_len), neg_inf)
-    beta[-1, -2:] = 0.0
-    nxt = np.full(s_len + 2, neg_inf)  # state s in column s
-    for t in range(t_len - 2, -1, -1):
-        cur = beta[t]
-        np.add(beta[t + 1], emit[t + 1], out=nxt[:s_len])
-        np.logaddexp(nxt[:-2], nxt[1:-1], out=cur)
-        np.add(nxt[2:], skip_out, out=buf)
-        np.logaddexp(cur, buf, out=cur)
-
-    occupancy = alpha[:, 2:]
-    occupancy += beta
+    occupancy = post[:, 2 : s_len + 2] + pre[::-1, : s_len + 1 : -1]  # alpha + beta
     occupancy -= log_p
     with np.errstate(under="ignore"):
         np.exp(occupancy, out=occupancy)

@@ -174,7 +174,11 @@ def kmeans(frames: np.ndarray, k: int, seed: int, max_iter: int = 300) -> KMeans
     n_iter = 0
     x_sq = (x * x).sum(axis=1)
     for n_iter in range(1, max_iter + 1):
-        dist = x_sq[:, None] - 2.0 * (x @ centroids.T) + (centroids * centroids).sum(axis=1)[None, :]
+        # x_sq - 2 x.c + c_sq, with the same IEEE operations, in one n x k buffer
+        dist = x @ centroids.T
+        dist *= -2.0
+        dist += x_sq[:, None]
+        dist += (centroids * centroids).sum(axis=1)
         new_assign = dist.argmin(axis=1)
         distortions.append(float(np.maximum(dist[np.arange(n), new_assign], 0.0).sum()))
         if np.array_equal(new_assign, assignments):

@@ -7,6 +7,13 @@ producing the parents' gradient contributions, so the computation record
 is the topologically ordered set of tensors reachable from a root.
 Gradients accumulate into ``.grad`` of every tensor built with
 ``requires_grad=True``; callers zero grads between steps.
+
+Gradient arrays are shared, not copied: ``backward`` stores the array a
+rule returns as the parent's gradient (``add`` hands one array to both
+parents) and a tensor's ``.grad`` is that same array. So a backward rule
+must never write into the gradient it receives, nor into any forward
+value it closed over; every in-place step writes into a buffer the rule
+allocated itself.
 """
 
 from __future__ import annotations
@@ -127,13 +134,13 @@ def backward(root: Tensor, seed=None) -> dict[Tensor, np.ndarray]:
             if pg is None or not parent._needs_grad:
                 continue
             buf = flow.get(parent)
-            if buf is None:
-                flow[parent] = np.array(pg, dtype=parent.values.dtype)
-            else:
-                buf += pg
+            # cast (a float64 rule output must not leak into float32
+            # parents) but never copy; sums are out of place because
+            # arrays are shared
+            flow[parent] = np.asarray(pg if buf is None else buf + pg, dtype=parent.values.dtype)
     for node, g in flow.items():
         if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            node.grad = g if node.grad is None else node.grad + g
     return flow
 
 
@@ -155,7 +162,9 @@ def linear(x, w, b) -> Tensor:
     def backward_fn(g):
         return (g @ wv.T if x_needs_grad else None), xv.T @ g, g.sum(axis=0)
 
-    return _op(xv @ wv + bv, (x, w, b), backward_fn)
+    out = xv @ wv
+    out += bv
+    return _op(out, (x, w, b), backward_fn)
 
 
 def add(a, b) -> Tensor:
@@ -198,14 +207,35 @@ def gelu(a) -> Tensor:
     xv = a.values
     k = math.sqrt(2.0 / math.pi)
     c = 0.044715
-    inner = k * (xv + c * (xv * xv * xv))  # x*x*x: float32 pow is slow
-    t = np.tanh(inner)
+    # the same IEEE operations, in order, as the expression above; each
+    # step writes into a buffer of its own
+    t = xv * xv  # x*x*x: float32 pow is slow
+    t *= xv
+    t *= c
+    t += xv
+    t *= k
+    np.tanh(t, out=t)
+    out = xv * 0.5
+    out *= t + 1.0
 
     def backward_fn(g):
-        d = 0.5 * (1.0 + t) + 0.5 * xv * (1.0 - t * t) * k * (1.0 + 3.0 * c * xv * xv)
-        return (g * d,)
+        # 0.5*(1 + t) + 0.5*x*(1 - t*t)*k*(1 + 3c*x*x), then times g
+        d = t + 1.0
+        d *= 0.5
+        u = t * t
+        np.subtract(1.0, u, out=u)
+        du = xv * 0.5
+        du *= u
+        du *= k
+        np.multiply(xv, 3.0 * c, out=u)
+        u *= xv
+        u += 1.0
+        du *= u
+        du += d
+        du *= g
+        return (du,)
 
-    return _op(0.5 * xv * (1.0 + t), (a,), backward_fn)
+    return _op(out, (a,), backward_fn)
 
 
 def log_softmax_rows(x) -> Tensor:
@@ -241,20 +271,38 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ConfigError(f"layer_norm expects a T x H matrix, got shape {xv.shape}")
     if gv.shape != (xv.shape[1],) or bv.shape != (xv.shape[1],):
         raise ConfigError("layer_norm gain/bias width mismatch")
-    mu = xv.mean(axis=1, keepdims=True)
-    xc = xv - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xh = xc * inv
+    n = xv.shape[1]
+    # np.add.reduce then /= n is np.mean's own computation
+    mu = np.add.reduce(xv, axis=1, keepdims=True)
+    mu /= n
+    xh = xv - mu  # centred here, normalized below
+    out = xh * xh
+    var = np.add.reduce(out, axis=1, keepdims=True)
+    var /= n
+    var += eps
+    inv = 1.0 / np.sqrt(var)
+    xh *= inv
+    np.multiply(xh, gv, out=out)
+    out += bv
 
     def backward_fn(g):
-        dgain = (g * xh).sum(axis=0)
+        # dx = inv * (dxh - mean(dxh) - xh * mean(dxh * xh)), dxh = g * gain
+        tmp = g * xh
+        dgain = np.add.reduce(tmp, axis=0)
         dbias = g.sum(axis=0)
-        dxh = g * gv
-        dx = inv * (dxh - dxh.mean(axis=1, keepdims=True) - xh * (dxh * xh).mean(axis=1, keepdims=True))
+        dx = g * gv
+        np.multiply(dx, xh, out=tmp)
+        m2 = np.add.reduce(tmp, axis=1, keepdims=True)
+        m2 /= n
+        m1 = np.add.reduce(dx, axis=1, keepdims=True)
+        m1 /= n
+        dx -= m1
+        np.multiply(xh, m2, out=tmp)
+        dx -= tmp
+        dx *= inv
         return dx, dgain, dbias
 
-    return _op(xh * gv + bv, (x, gain, bias), backward_fn)
+    return _op(out, (x, gain, bias), backward_fn)
 
 
 def _segments(lengths, n_rows: int, what: str) -> tuple[int, ...]:
@@ -334,10 +382,11 @@ def multi_head_attention(q, k, v, n_heads: int, lengths=None) -> Tensor:
 
     Heads are split from the feature axis; the output has the same shape.
     With ``lengths`` the rows are packed utterances and attention stays
-    inside each segment (block-diagonal): ragged segments are padded to
-    B x T_max inside the op with the padded keys masked out, equal ones are
-    reshaped; None is one segment. The whole head computation carries one
-    hand-derived gradient rule, which keeps the record short.
+    inside each segment (block-diagonal); None is one segment. Each
+    segment is computed on its own rows, unpadded, by exactly the
+    operations of a single-segment call, so a packed result equals the
+    per-utterance results bit for bit. The whole head computation carries
+    one hand-derived gradient rule, which keeps the record short.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qv, kv, vv = q.values, k.values, v.values
@@ -350,46 +399,49 @@ def multi_head_attention(q, k, v, n_heads: int, lengths=None) -> Tensor:
         raise ConfigError(f"width {h} not divisible by {n_heads} heads")
     d = h // n_heads
     seg = _segments(lengths, kv.shape[0], "multi_head_attention")
-    n_seg, t_max = len(seg), max(seg)
-    ragged = min(seg) != t_max
-    if ragged:
-        # padded position of every packed row, and an additive key mask
-        slots = np.concatenate([b * t_max + np.arange(n) for b, n in enumerate(seg)])
-        valid = np.arange(t_max) < np.array(seg)[:, None]
-        key_mask = np.where(valid, 0.0, -np.inf).astype(qv.dtype)[:, None, None, :]
-
-    def split(a):
-        if ragged:
-            padded = np.zeros((n_seg * t_max, h), dtype=a.dtype)
-            padded[slots] = a
-            a = padded
-        return a.reshape(n_seg, t_max, n_heads, d).transpose(0, 2, 1, 3)
-
-    def merge(a):
-        a = a.transpose(0, 2, 1, 3).reshape(n_seg * t_max, h)
-        return a[slots] if ragged else a
-
-    qh, kh, vh = split(qv), split(kv), split(vv)
+    spans = [(start, start + n) for start, n in zip(_starts(seg), seg)]
     inv_sqrt_d = 1.0 / math.sqrt(d)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * inv_sqrt_d
-    if ragged:
-        scores += key_mask
-    scores -= scores.max(axis=3, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(axis=3, keepdims=True)
-    z = attn @ vh
+
+    def heads(a):
+        """Rows x H as a (rows, heads, d) view; ``[i:j].transpose(1, 0, 2)``
+        of it is one segment's heads x rows x d operand."""
+        return a.reshape(-1, n_heads, d)
+
+    qh, kh, vh = heads(qv), heads(kv), heads(vv)
+    out = np.empty_like(vv)
+    oh = heads(out)
+    attns = []
+    for i, j in spans:
+        sq, sk, sv = (a[i:j].transpose(1, 0, 2) for a in (qh, kh, vh))
+        attn = sq @ sk.transpose(0, 2, 1)  # softmax in place over the scores
+        attn *= inv_sqrt_d
+        attn -= attn.max(axis=2, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=2, keepdims=True)
+        attns.append(attn)
+        oh[i:j] = (attn @ sv).transpose(1, 0, 2)
 
     def backward_fn(g):
-        gz = split(g)
-        ga = gz @ vh.transpose(0, 1, 3, 2)
-        gvh = attn.transpose(0, 1, 3, 2) @ gz
-        gs = attn * (ga - (ga * attn).sum(axis=3, keepdims=True))
-        gs *= inv_sqrt_d
-        gqh = gs @ kh
-        gkh = gs.transpose(0, 1, 3, 2) @ qh
-        return merge(gqh), merge(gkh), merge(gvh)
+        dtype = np.result_type(g, vv)
+        grads = [np.empty(vv.shape, dtype=dtype) for _ in range(3)]
+        gqh, gkh, gvh = (heads(a) for a in grads)
+        gh = heads(g)
+        n_max = max(seg)
+        scratch = np.empty(n_heads * n_max * n_max, dtype=dtype)
+        for (i, j), attn in zip(spans, attns):
+            sq, sk, sv, gz = (a[i:j].transpose(1, 0, 2) for a in (qh, kh, vh, gh))
+            gs = scratch[: attn.size].reshape(attn.shape)
+            ga = gz @ sv.transpose(0, 2, 1)
+            gvh[i:j] = (attn.transpose(0, 2, 1) @ gz).transpose(1, 0, 2)
+            np.multiply(ga, attn, out=gs)
+            ga -= gs.sum(axis=2, keepdims=True)
+            np.multiply(attn, ga, out=gs)
+            gs *= inv_sqrt_d
+            gqh[i:j] = (gs @ sk).transpose(1, 0, 2)
+            gkh[i:j] = (gs.transpose(0, 2, 1) @ sq).transpose(1, 0, 2)
+        return tuple(grads)
 
-    return _op(merge(z), (q, k, v), backward_fn)
+    return _op(out, (q, k, v), backward_fn)
 
 
 def sinusoidal_positions(length: int, width: int, dtype=np.float32) -> np.ndarray:

@@ -38,7 +38,7 @@ def small_vocab(small_corpus):
     return Vocabulary(spec.phoneme_symbols, spec.language_names)
 
 
-def rand_log_softmax(rng, t, v, dtype=np.float64):
-    x = rng.normal(0.0, 1.0, (t, v))
+def rand_log_softmax(rng, t, v, dtype=np.float64, scale=1.0):
+    x = rng.normal(0.0, scale, (t, v))
     x = x - np.log(np.exp(x - x.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) - x.max(axis=1, keepdims=True)
     return x.astype(dtype)

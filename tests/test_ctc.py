@@ -61,22 +61,36 @@ class TestCtcLoss:
         brute = ctc_brute_force(np.exp(lp), targets)
         assert np.isclose(np.exp(-float(res.loss.values)), brute, atol=1e-6)
 
-    @pytest.mark.parametrize("trial", range(25))
+    # (frames, classes, targets, logit scale): T = min_frames with repeated
+    # labels, a single frame, and logits sharp enough to drive most paths
+    # to a near-zero probability
+    EDGE_CASES = {
+        "min_frames_repeats": (6, 3, [1, 1, 2, 2], 1.0),
+        "one_frame_one_target": (1, 4, [3], 1.0),
+        "logits_x50": (6, 4, [2, 2, 1], 50.0),
+    }
+
+    @pytest.mark.parametrize("trial", [*range(25), *EDGE_CASES])
     def test_oracle_equivalence_random_instances(self, trial):
-        rng = np.random.default_rng(1000 + trial)
-        v = int(rng.integers(2, 6))
-        t = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 4))
-        targets = [int(x) for x in rng.integers(1, v, size=n)]
-        if min_frames(targets) > t:
-            targets = targets[: max(1, t)]
-            targets = [tok for i, tok in enumerate(targets) if i == 0 or tok != targets[i - 1]]
-        if min_frames(targets) > t:
-            pytest.skip("instance infeasible after trimming")
-        lp = rand_log_softmax(rng, t, v)
+        if trial in self.EDGE_CASES:
+            t, v, targets, scale = self.EDGE_CASES[trial]
+            lp = rand_log_softmax(np.random.default_rng(0), t, v, scale=scale)
+        else:
+            rng = np.random.default_rng(1000 + trial)
+            v = int(rng.integers(2, 6))
+            t = int(rng.integers(1, 7))
+            n = int(rng.integers(1, 4))
+            targets = [int(x) for x in rng.integers(1, v, size=n)]
+            if min_frames(targets) > t:
+                targets = targets[: max(1, t)]
+                targets = [tok for i, tok in enumerate(targets) if i == 0 or tok != targets[i - 1]]
+            if min_frames(targets) > t:
+                pytest.skip("instance infeasible after trimming")
+            lp = rand_log_softmax(rng, t, v)
         res = ctc_loss(lp, targets)
         brute = ctc_brute_force(np.exp(lp), targets)
         assert np.isclose(np.exp(-float(res.loss.values)), brute, atol=1e-6)
+        assert np.isclose(-float(res.loss.values), np.log(brute), rtol=1e-9, atol=1e-9)
 
     def test_gradient_matches_finite_differences(self):
         from sshr.gradcheck import check_scalar_graph

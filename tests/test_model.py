@@ -399,6 +399,19 @@ class TestPackedEquivalence:
                 if p.grad is not None:
                     assert relative_error(packed_grads[name], p.grad) <= 1e-6, name
 
+    def test_float32_gradients_keep_parameter_dtype(self):
+        # backward casts each arriving gradient to its parent's dtype; the
+        # float64 gradient of log_softmax_rows must not reach the parameters
+        base = default_model_config(tiny_vocab(n_phonemes=6, n_langs=3), 5, seed=4)
+        base["stack"].update({"hidden": 8, "heads": 2, "ffn": 16})
+        model = SshrModel(SshrConfig.from_dict(apply_variant(base, "C4")))
+        model.zero_grads()
+        tz.backward(model.batch_loss(_random_batch(np.random.default_rng(5), model, 4)))
+        grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
+        assert grads
+        for name, g in grads.items():
+            assert g.dtype == np.float32 == model.params[name].values.dtype, name
+
     def test_packed_lengths_follow_length_law(self):
         cfg = tiny_model_config(depth=4, lid_extract_layer=2, lid_in_targets=True, cross_taps=[3], loss_weight=0.5)
         model = SshrModel(cfg)

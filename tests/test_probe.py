@@ -96,6 +96,21 @@ class TestKMeans:
         for earlier, later in zip(res.distortions, res.distortions[1:]):
             assert later <= earlier + 1e-9
 
+    def test_lloyd_steps_equal_the_expanded_distance_expression_bitwise(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(90, 5)).astype(np.float32).astype(np.float64)
+        x[60:] = x[:30]  # duplicate rows
+        final = kmeans(x, 7, seed=2)
+        assert final.n_iter > 1
+        for it in range(1, final.n_iter + 1):
+            c = kmeans(x, 7, seed=2, max_iter=it - 1).centroids  # the centroids Lloyd step ``it`` reads
+            dist = (x * x).sum(axis=1)[:, None] - 2.0 * (x @ c.T) + (c * c).sum(axis=1)[None, :]
+            assign = dist.argmin(axis=1)
+            step = kmeans(x, 7, seed=2, max_iter=it)
+            assert np.array_equal(step.assignments, assign)
+            assert step.distortions[-1] == float(np.maximum(dist[np.arange(len(x)), assign], 0.0).sum())
+        assert step.distortions == final.distortions
+
     def test_k_greater_than_n_rejected(self):
         with pytest.raises(ConfigError):
             kmeans(np.zeros((3, 2)), 4, seed=0)

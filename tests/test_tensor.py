@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from sshr import tensor as tz
+from sshr.ctc import ctc_loss
 from sshr.errors import ConfigError, NonFiniteError
 from sshr.gradcheck import check_scalar_graph, finite_difference_gradient, relative_error
 
@@ -132,6 +135,24 @@ class TestPackedSegments:
             assert np.allclose(packed[rows], alone.values, atol=1e-12)
             start += n
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_is_bitwise_one_call_per_segment(self, dtype):
+        rng = np.random.default_rng(10)
+        for _ in range(8):
+            seg = [int(n) for n in rng.integers(1, 81, size=int(rng.integers(1, 9)))]
+            seg[int(rng.integers(len(seg)))] = 1
+            q, k, v, g = (rng.normal(size=(sum(seg), 16)).astype(dtype) for _ in range(4))
+            packed = tz.multi_head_attention(*(tz.Tensor(a, requires_grad=True) for a in (q, k, v)), 4, seg)
+            packed_grads = packed._backward(g)
+            start = 0
+            for n in seg:
+                rows = slice(start, start + n)
+                alone = tz.multi_head_attention(*(tz.Tensor(a[rows], requires_grad=True) for a in (q, k, v)), 4)
+                assert np.array_equal(packed.values[rows], alone.values)
+                for got, want in zip(packed_grads, alone._backward(g[rows])):
+                    assert np.array_equal(got[rows], want)
+                start += n
+
     def test_attention_operands_must_share_one_shape(self):
         rng = np.random.default_rng(7)
         k, v = t64(rng.normal(size=(4, 4))), t64(rng.normal(size=(4, 4)))
@@ -209,6 +230,52 @@ class TestBackward:
         out = tz.add(tz.exp(y), y)  # y feeds two paths: d/dx = 2 exp(2x) + 2
         flow = tz.backward(out)
         assert np.allclose(flow[x], 2.0 * np.exp(2.0 * x.values) + 2.0)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# every differentiable primitive: (op over its tensor inputs, input shapes)
+BACKWARD_RULES = {
+    "linear": (tz.linear, [(5, 4), (4, 3), (3,)]),
+    "add": (tz.add, [(3, 4), (3, 4)]),
+    "scale": (lambda a: tz.scale(a, 1.5), [(3, 4)]),
+    "exp": (tz.exp, [(3, 4)]),
+    "gelu": (tz.gelu, [(3, 4)]),
+    "log_softmax_rows": (tz.log_softmax_rows, [(3, 4)]),
+    "layer_norm": (tz.layer_norm, [(5, 6), (6,), (6,)]),
+    "row_slice": (lambda x: tz.row_slice(x, 1, 3), [(4, 3)]),
+    "mean_over_time": (lambda x: tz.mean_over_time(x, (2, 3)), [(5, 3)]),
+    "prepend_row": (lambda r, x: tz.prepend_row(r, x, (2, 3)), [(2, 3), (5, 3)]),
+    "multi_head_attention": (lambda q, k, v: tz.multi_head_attention(q, k, v, 2, (3, 1, 4)), [(8, 4)] * 3),
+    "ctc_loss": (lambda lp: ctc_loss(lp, [1, 2, 2]).loss, [(7, 4)]),
+}
+
+
+class TestBackwardContract:
+    """``backward`` shares gradient arrays instead of copying them, so a
+    rule may write into neither its incoming gradient nor its forward
+    inputs and output: all of them are read-only here."""
+
+    def test_every_primitive_is_listed(self):
+        ops = {name for name, f in vars(tz).items() if inspect.isfunction(f) and "_op(" in inspect.getsource(f)}
+        assert ops - {"_op"} <= set(BACKWARD_RULES)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(BACKWARD_RULES))
+    def test_rule_writes_into_nothing_it_receives(self, name, dtype):
+        op, shapes = BACKWARD_RULES[name]
+        rng = np.random.default_rng(11)
+        inputs = [tz.Tensor(_read_only(rng.normal(size=s).astype(dtype)), requires_grad=True) for s in shapes]
+        out = op(*inputs)
+        _read_only(out.values)
+        g = _read_only(rng.normal(size=out.values.shape).astype(dtype))
+        grads = out._backward(g)
+        assert len(grads) == len(inputs)
+        for x, gx in zip(inputs, grads):
+            assert gx.shape == x.values.shape
 
 
 class TestFiniteChecks:
