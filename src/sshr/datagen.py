@@ -377,17 +377,3 @@ def load_manifest(manifest_path) -> list[Utterance]:
 def load_split(corpus_dir, split: str) -> list[Utterance]:
     return load_manifest(os.path.join(corpus_dir, f"manifest.{split}.jsonl"))
 
-
-def oracle_transcribe(spec: CorpusSpec, lang_name: str, features: np.ndarray) -> list[int]:
-    """Nearest-prototype frame classifier followed by run collapse.
-
-    With sigma=0 this recovers every transcript exactly, which pins the
-    corpus as separable by construction.
-    """
-    lang = next((l for l in spec.languages if l.name == lang_name), None)
-    if lang is None:
-        raise ConfigError(f"unknown language {lang_name!r}")
-    realized = lang.realized_prototypes()
-    d2 = ((features[:, None, :] - realized[None, :, :]) ** 2).sum(axis=2)
-    frame_ids = [lang.phoneme_ids[j] for j in d2.argmin(axis=1)]
-    return collapse_frames(frame_ids, blank=-1)

@@ -26,27 +26,35 @@ def collect_layer_data(model, utterances):
     N x H means over the full sequence (language-summary row included via
     the pooling); frames[d] stacks per-frame rows with the summary row
     excluded, aligned with the phoneme labels.
+
+    Each layer's two arrays are allocated once, in the activations' dtype,
+    at the first forward, and every utterance's rows are copied in as its
+    forward returns, so the result is the only copy of the activations
+    that outlives a forward.
     """
-    depth = model.depth
-    pooled: list[list[np.ndarray]] = [[] for _ in range(depth + 1)]
-    frames: list[list[np.ndarray]] = [[] for _ in range(depth + 1)]
-    lang_labels: list[int] = []
-    frame_labels: list[np.ndarray] = []
     languages = model.cfg.vocab.languages
+    if not utterances:
+        raise ConfigError("no utterances to probe")
     for utt in utterances:
         if utt.lang not in languages:
             raise ConfigError(f"utterance language {utt.lang!r} is not one of the checkpoint's languages {list(languages)}")
+    n_total = sum(utt.n_frames for utt in utterances)
+    lang_labels = np.asarray([languages.index(utt.lang) for utt in utterances])
+    frame_labels = np.empty(n_total, dtype=np.int64)
+    start = 0
     with tz.no_grad():
-        for utt in utterances:
-            out = model.forward(utt.features, retain_activations=True)
-            lang_labels.append(languages.index(utt.lang))
-            frame_labels.append(np.asarray(utt.alignment, dtype=np.int64))
-            for d, act in enumerate(out.activations):
-                pooled[d].append(act.mean(axis=0))
-                frames[d].append(act[1:] if act.shape[0] == utt.n_frames + 1 else act)
-    pooled_arr = [np.stack(rows) for rows in pooled]
-    frames_arr = [np.concatenate(rows, axis=0) for rows in frames]
-    return pooled_arr, frames_arr, np.asarray(lang_labels), np.concatenate(frame_labels)
+        for i, utt in enumerate(utterances):
+            acts = model.forward(utt.features, retain_activations=True).activations
+            if i == 0:
+                pooled = [np.empty((len(utterances), act.shape[1]), act.dtype) for act in acts]
+                frames = [np.empty((n_total, act.shape[1]), act.dtype) for act in acts]
+            stop = start + utt.n_frames
+            frame_labels[start:stop] = utt.alignment
+            for d, act in enumerate(acts):
+                pooled[d][i] = act.mean(axis=0)
+                frames[d][start:stop] = act[1:] if act.shape[0] == utt.n_frames + 1 else act
+            start = stop
+    return pooled, frames, lang_labels, frame_labels
 
 
 class LogisticRegressionProbe:
@@ -152,42 +160,81 @@ class KMeansResult:
 
 def kmeans(frames: np.ndarray, k: int, seed: int, max_iter: int = 300) -> KMeansResult:
     """k-means++ seeding then Lloyd iterations to an assignment fixpoint
-    (or ``max_iter``); fully determined by ``seed``."""
-    x = np.asarray(frames, dtype=np.float64)
-    n = x.shape[0]
+    (or ``max_iter``); fully determined by ``seed``.
+
+    Arithmetic is float64. ``frames`` is read in row blocks, each
+    converted to float64 when it is used, so no n x F float64 copy and no
+    n x k distance matrix is ever held: per block, seeding forms
+    ``(x - c)**2`` row sums and a Lloyd step forms ``x_sq - 2 x.c + c_sq``
+    with the same IEEE operations, in the same order, as over all n rows
+    at once. Results are bitwise those of the unblocked computation.
+    """
+    frames = np.asarray(frames)
+    n, n_feat = frames.shape
+    if k < 1:
+        raise ConfigError(f"k={k} must be >= 1")
     if k > n:
         raise ConfigError(f"k={k} exceeds {n} points")
+    # n split evenly into n // 1024 row blocks (one when k == 1): with at
+    # least 1024 rows per block, each block's x @ c.T on OpenBLAS's Haswell
+    # kernels is bitwise the rows of the full product, and a short tail
+    # block or an n x 1 product split in rows is not always
+    n_blocks = 1 if k == 1 else max(1, n // 1024)
+    bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    block_rows = max(hi - lo for lo, hi in blocks)
+    xbuf = np.empty((block_rows, n_feat))
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0xB3]))
-    centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[rng.integers(n)]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+
+    def sq_dist_to(c: np.ndarray) -> np.ndarray:
+        d2 = np.empty(n)
+        for lo, hi in blocks:
+            diff = np.subtract(frames[lo:hi], c, out=xbuf[: hi - lo])
+            np.square(diff, out=diff)
+            diff.sum(axis=1, out=d2[lo:hi])
+        return d2
+
+    centroids = np.empty((k, n_feat))
+    centroids[0] = frames[rng.integers(n)]
+    d2 = sq_dist_to(centroids[0])
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
-            centroids[j] = x[rng.integers(n)]
+            centroids[j] = frames[rng.integers(n)]
         else:
-            centroids[j] = x[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
+            centroids[j] = frames[rng.choice(n, p=d2 / total)]
+        np.minimum(d2, sq_dist_to(centroids[j]), out=d2)
 
+    x_sq = sq_dist_to(np.zeros(n_feat))  # x - 0 is exact, so these are the bits of (x * x).sum(axis=1)
+    dist = np.empty((block_rows, k))
     assignments = np.full(n, -1)
     distortions: list[float] = []
     n_iter = 0
-    x_sq = (x * x).sum(axis=1)
     for n_iter in range(1, max_iter + 1):
-        # x_sq - 2 x.c + c_sq, with the same IEEE operations, in one n x k buffer
-        dist = x @ centroids.T
-        dist *= -2.0
-        dist += x_sq[:, None]
-        dist += (centroids * centroids).sum(axis=1)
-        new_assign = dist.argmin(axis=1)
-        distortions.append(float(np.maximum(dist[np.arange(n), new_assign], 0.0).sum()))
+        c_sq = (centroids * centroids).sum(axis=1)
+        new_assign = np.empty(n, dtype=np.intp)
+        closest = np.empty(n)
+        for lo, hi in blocks:
+            xb = xbuf[: hi - lo]
+            xb[...] = frames[lo:hi]
+            db = np.matmul(xb, centroids.T, out=dist[: hi - lo])
+            db *= -2.0
+            db += x_sq[lo:hi, None]
+            db += c_sq
+            db.argmin(axis=1, out=new_assign[lo:hi])
+            closest[lo:hi] = db[np.arange(hi - lo), new_assign[lo:hi]]
+        distortions.append(float(np.maximum(closest, 0.0, out=closest).sum()))
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        for j in range(k):
-            members = x[assignments == j]
-            if len(members):  # empty clusters keep their previous centroid
-                centroids[j] = members.mean(axis=0)
+        # a stable sort lists each cluster's rows in ascending order, as a
+        # boolean mask would, so every mean sums the same rows in the same order
+        order = np.argsort(assignments, kind="stable")
+        start = 0
+        for j, stop in enumerate(np.cumsum(np.bincount(assignments, minlength=k))):
+            if stop > start:  # empty clusters keep their previous centroid
+                centroids[j] = np.asarray(frames[order[start:stop]], dtype=np.float64).mean(axis=0)
+            start = stop
     return KMeansResult(assignments=assignments, centroids=centroids, distortions=distortions, n_iter=n_iter)
 
 
@@ -219,13 +266,6 @@ def mutual_information(assignments, labels) -> float:
                 continue
             mi += (c / n) * np.log((c * n) / (int(row[i]) * int(col[j])))
     return float(mi)
-
-
-def entropy_of_counts(counts) -> float:
-    counts = np.asarray(counts, dtype=np.int64).ravel()
-    n = counts.sum()
-    probs = counts[counts > 0] / n
-    return float(-(probs * np.log(probs)).sum())
 
 
 @dataclass

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sshr.ctc import Vocabulary
-from sshr.datagen import default_corpus_spec, generate_corpus
+from sshr.ctc import Vocabulary, collapse_frames
+from sshr.datagen import CorpusSpec, default_corpus_spec, generate_corpus
+from sshr.errors import ConfigError
 from sshr.model import SshrConfig, default_model_config
 
 
@@ -42,3 +43,26 @@ def rand_log_softmax(rng, t, v, dtype=np.float64, scale=1.0):
     x = rng.normal(0.0, scale, (t, v))
     x = x - np.log(np.exp(x - x.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) - x.max(axis=1, keepdims=True)
     return x.astype(dtype)
+
+
+def entropy_of_counts(counts) -> float:
+    """Plug-in entropy (nats) of a count vector; the bound mutual information must respect."""
+    counts = np.asarray(counts, dtype=np.int64).ravel()
+    n = counts.sum()
+    probs = counts[counts > 0] / n
+    return float(-(probs * np.log(probs)).sum())
+
+
+def oracle_transcribe(spec: CorpusSpec, lang_name: str, features: np.ndarray) -> list[int]:
+    """Nearest-prototype frame classifier followed by run collapse.
+
+    With sigma=0 this recovers every transcript exactly, which pins the
+    corpus as separable by construction.
+    """
+    lang = next((l for l in spec.languages if l.name == lang_name), None)
+    if lang is None:
+        raise ConfigError(f"unknown language {lang_name!r}")
+    realized = lang.realized_prototypes()
+    d2 = ((features[:, None, :] - realized[None, :, :]) ** 2).sum(axis=2)
+    frame_ids = [lang.phoneme_ids[j] for j in d2.argmin(axis=1)]
+    return collapse_frames(frame_ids, blank=-1)

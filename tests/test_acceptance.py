@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import rand_log_softmax
+from conftest import entropy_of_counts, rand_log_softmax
 from sshr import tensor as tz
 from sshr.ctc import Vocabulary, ctc_brute_force, ctc_loss, min_frames
 from sshr.datagen import default_corpus_spec, generate_corpus, load_split
@@ -19,7 +19,7 @@ from sshr.encoder import EncoderStack, StackConfig, Surgery, build_stack
 from sshr.evalkit import apply_variant, run_ablation
 from sshr.gradcheck import REL_TOL, gradcheck_suite
 from sshr.model import SshrModel, default_model_config, total_loss
-from sshr.probe import collect_layer_data, entropy_of_counts, lid_probe, mutual_information, probe_all_layers, write_report
+from sshr.probe import collect_layer_data, lid_probe, mutual_information, probe_all_layers, write_report
 from sshr.trainer import run_single_experiment, train
 
 PINNED_SEEDS = (1, 2, 3)

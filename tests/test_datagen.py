@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import oracle_transcribe
 from sshr.ctc import collapse_frames
 from sshr.datagen import (
     CorpusSpec,
@@ -11,7 +12,6 @@ from sshr.datagen import (
     load_corpus_spec,
     load_manifest,
     load_split,
-    oracle_transcribe,
 )
 from sshr.errors import ConfigError, CorruptDataError
 

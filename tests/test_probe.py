@@ -1,15 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config
+from conftest import entropy_of_counts, tiny_model_config
 from sshr.errors import ConfigError
 from sshr.model import SshrModel
 from sshr.probe import (
     LogisticRegressionProbe,
     collect_layer_data,
-    entropy_of_counts,
     kmeans,
     lid_probe,
     mutual_information,
@@ -111,9 +111,63 @@ class TestKMeans:
             assert step.distortions[-1] == float(np.maximum(dist[np.arange(len(x)), assign], 0.0).sum())
         assert step.distortions == final.distortions
 
+    @pytest.mark.parametrize("n, k, dtype", [
+        (3073, 9, np.float32),   # three blocks, the last one row longer
+        (4097, 6, np.float64),   # four blocks
+        (2500, 1, np.float32),   # k = 1: one block
+    ])
+    def test_blocked_seeding_and_lloyd_steps_equal_the_full_expressions_bitwise(self, n, k, dtype):
+        rng = np.random.default_rng(n + k)
+        # 64 columns (the model width), far from the origin: a last-bit change in any x.c
+        # reaches the small closest distances and so the distortion
+        frames = (rng.normal(size=(n, 64)) + 40.0).astype(dtype)
+        frames[n - 700:] = frames[:700]  # duplicate rows
+        x = frames.astype(np.float64)
+        # k-means++ seeding over all n rows at once
+        seed_rng = np.random.default_rng(np.random.SeedSequence([5, 0xB3]))
+        c = np.empty((k, x.shape[1]))
+        c[0] = x[seed_rng.integers(n)]
+        d2 = ((x - c[0]) ** 2).sum(axis=1)
+        for j in range(1, k):
+            total = d2.sum()
+            c[j] = x[seed_rng.integers(n)] if total <= 0 else x[seed_rng.choice(n, p=d2 / total)]
+            d2 = np.minimum(d2, ((x - c[j]) ** 2).sum(axis=1))
+        assert np.array_equal(kmeans(frames, k, seed=5, max_iter=0).centroids, c)
+        final = kmeans(frames, k, seed=5, max_iter=12)
+        assert final.n_iter > 1
+        for it in range(1, final.n_iter + 1):
+            # the Lloyd step ``it`` over the full n x k distance matrix
+            dist = (x * x).sum(axis=1)[:, None] - 2.0 * (x @ c.T) + (c * c).sum(axis=1)[None, :]
+            assign = dist.argmin(axis=1)
+            for j in range(k):
+                members = x[assign == j]
+                if len(members):
+                    c[j] = members.mean(axis=0)
+            step = kmeans(frames, k, seed=5, max_iter=it)
+            assert np.array_equal(step.assignments, assign)
+            assert np.array_equal(step.centroids, c)
+            assert step.distortions[-1] == float(np.maximum(dist[np.arange(n), assign], 0.0).sum())
+        assert step.distortions == final.distortions
+
     def test_k_greater_than_n_rejected(self):
         with pytest.raises(ConfigError):
             kmeans(np.zeros((3, 2)), 4, seed=0)
+
+    def test_k_below_one_rejected(self):
+        for k in (0, -1):
+            with pytest.raises(ConfigError):
+                kmeans(np.zeros((3, 2)), k, seed=0)
+
+    def test_peak_memory_below_one_float64_copy_of_the_frames(self):
+        n, f = 20000, 64
+        frames = np.random.default_rng(14).normal(size=(n, f)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            kmeans(frames, 112, seed=0, max_iter=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * f
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(6)
@@ -238,6 +292,24 @@ class TestProbePipeline:
         assert np.array_equal(frames[d], np.concatenate([act[1:] for act in whole]))
         assert frames[d].shape[0] == frame_labels.shape[0]
         assert np.array_equal(pooled[d], np.stack([act.mean(axis=0) for act in whole]))
+
+    def test_collection_peak_memory_below_one_and_a_half_results(self, probe_setup):
+        model, utts = probe_setup
+        utts = utts * 8  # enough rows that one forward's temporaries are small beside the result
+        collect_layer_data(model, utts[:len(utts) // 8])  # reads and caches every utterance's features
+        tracemalloc.start()
+        try:
+            pooled, frames, lang_labels, frame_labels = collect_layer_data(model, utts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result_bytes = sum(a.nbytes for a in pooled + frames) + lang_labels.nbytes + frame_labels.nbytes
+        assert peak < 1.5 * result_bytes
+
+    def test_empty_utterance_list_rejected(self, probe_setup):
+        model, _ = probe_setup
+        with pytest.raises(ConfigError):
+            collect_layer_data(model, [])
 
     def test_dumps_deterministic(self, probe_setup):
         model, utts = probe_setup
