@@ -9,7 +9,7 @@ never touches the DP, so the two paths verify each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,12 +67,6 @@ class Vocabulary(Strict):
 
     def strip_lid(self, tokens) -> list[int]:
         return [t for t in tokens if not self.is_lid(t)]
-
-
-@dataclass
-class CtcLossResult:
-    loss: tz.Tensor
-    grad: np.ndarray = field(repr=False)
 
 
 def _validate_targets(targets, n_classes: int):
@@ -158,13 +152,13 @@ def _forward_backward(log_probs: np.ndarray, targets):
     return -log_p, -(occupancy @ one_hot)
 
 
-def ctc_loss(log_probs, targets) -> CtcLossResult:
+def ctc_loss(log_probs, targets) -> tz.Tensor:
     """Exact CTC negative log-likelihood in nats.
 
     ``log_probs`` is a T' x V matrix of row-normalized log-probabilities
     (tensor or array). Returns the scalar loss wired into the autodiff
-    graph plus the gradient with respect to ``log_probs`` as an array.
-    Raises CtcInfeasibleError when T' is too short to emit the targets.
+    graph. Raises CtcInfeasibleError when T' is too short to emit the
+    targets.
     """
     lp = log_probs if isinstance(log_probs, tz.Tensor) else tz.Tensor(log_probs)
     if lp.values.ndim != 2:
@@ -181,8 +175,7 @@ def ctc_loss(log_probs, targets) -> CtcLossResult:
     def backward_fn(g):
         return (float(g) * grad64,)
 
-    loss = tz._op(np.asarray(loss64, dtype=lp.values.dtype), (lp,), backward_fn)
-    return CtcLossResult(loss=loss, grad=grad64)
+    return tz._op(np.asarray(loss64, dtype=lp.values.dtype), (lp,), backward_fn)
 
 
 def ctc_brute_force(probs: np.ndarray, targets, guard: int = 10_000_000) -> float:

@@ -306,7 +306,8 @@ def load_manifest(manifest_path) -> list[Utterance]:
     alignment consistency, and that the manifest covers each alignment
     shard exactly; corrupt data names the offending utterance or shard, and
     a row that is not a manifest object of known languages and phoneme
-    symbols names its manifest line.
+    symbols, with frames and a nonempty transcript, names its manifest
+    line.
     """
     corpus_dir = os.path.dirname(os.path.abspath(manifest_path))
     spec = load_corpus_spec(corpus_dir)
@@ -330,6 +331,10 @@ def load_manifest(manifest_path) -> list[Utterance]:
                 symbols = row["transcript"].split()
             except (ValueError, KeyError, TypeError, AttributeError) as err:
                 raise CorruptDataError(f"{where}: malformed row ({type(err).__name__}: {err})") from None
+            if n_frames < 1:
+                raise CorruptDataError(f"{where}: n_frames {n_frames} is not positive")
+            if not symbols:
+                raise CorruptDataError(f"{where}: empty transcript")
             if lang not in spec.language_names:
                 raise CorruptDataError(f"{where}: unknown language {lang!r}")
             unknown = [s for s in symbols if s not in symbol_to_id]

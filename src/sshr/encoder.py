@@ -152,10 +152,10 @@ class LayerParams:
                 yield f.name, t
 
 
-def self_attention_layer(x: tz.Tensor, p: LayerParams, n_heads: int, lengths=None, query=None) -> tz.Tensor:
+def self_attention_layer(x: tz.Tensor, p: LayerParams, n_heads: int, lengths, query=None) -> tz.Tensor:
     """Pre-norm multi-head attention + residual, then pre-norm FFN +
     residual; length-preserving. ``lengths`` segments packed utterances
-    (attention stays within each; None is one utterance). The query is
+    (attention stays within each; one utterance is ``(T,)``). The query is
     ``query`` when given, else the layer's own projection of the normed
     input; keys, values and the residual always come from ``x``."""
     h = tz.layer_norm(x, p.ln1_gain, p.ln1_bias)
@@ -169,7 +169,7 @@ def self_attention_layer(x: tz.Tensor, p: LayerParams, n_heads: int, lengths=Non
     return tz.add(x, f)
 
 
-def cross_attention_layer(probs: tz.Tensor, x: tz.Tensor, p: LayerParams, n_heads: int, lengths=None) -> tz.Tensor:
+def cross_attention_layer(probs: tz.Tensor, x: tz.Tensor, p: LayerParams, n_heads: int, lengths) -> tz.Tensor:
     """``self_attention_layer`` with the query Linear(Linear(posterior
     probs)) of an earlier layer; ``probs`` has one row per row of ``x``."""
     if probs.values.shape[0] != x.values.shape[0]:

@@ -101,10 +101,6 @@ def _layer_params_f64(rng, hidden, ffn, posterior_dim=None):
     )
 
 
-def _params_as_leaves(params: LayerParams) -> dict[str, tz.Tensor]:
-    return {name: t for name, t in params.items()}
-
-
 def _check_micro_model(seed: int) -> float:
     """End-to-end check of a two-mechanism micro model: splice at layer 1,
     posterior-query cross-attention after the tap at layer 2, combined loss
@@ -169,17 +165,17 @@ def gradcheck_suite(seed: int = 0) -> dict:
     checks["exp"] = check_scalar_graph(lambda: tz.exp(xe), {"x": xe}, pe)
 
     xm = _rand(rng, 4, 3)
-    pm = rng.uniform(-1, 1, (3,))
-    checks["mean_over_time"] = check_scalar_graph(lambda: tz.mean_over_time(xm), {"x": xm}, pm)
+    pm = rng.uniform(-1, 1, (3,))[None]
+    checks["mean_over_time"] = check_scalar_graph(lambda: tz.mean_over_time(xm, (4,)), {"x": xm}, pm)
 
-    rowp, xp = _rand(rng, 4), _rand(rng, 3, 4)
+    rowp, xp = _rand(rng, 1, 4), _rand(rng, 3, 4)
     pp = rng.uniform(-1, 1, (4, 4))
-    checks["prepend_row"] = check_scalar_graph(lambda: tz.prepend_row(rowp, xp), {"row": rowp, "x": xp}, pp)
+    checks["prepend_row"] = check_scalar_graph(lambda: tz.prepend_row(rowp, xp, (3,)), {"row": rowp, "x": xp}, pp)
 
     qa, ka, va = _rand(rng, 4, 6), _rand(rng, 4, 6), _rand(rng, 4, 6)
     pa = rng.uniform(-1, 1, (4, 6))
     checks["multi_head_attention"] = check_scalar_graph(
-        lambda: tz.multi_head_attention(qa, ka, va, 2), {"q": qa, "k": ka, "v": va}, pa
+        lambda: tz.multi_head_attention(qa, ka, va, 2, (4,)), {"q": qa, "k": ka, "v": va}, pa
     )
     rng.uniform(-1, 1, 12)
 
@@ -201,13 +197,13 @@ def gradcheck_suite(seed: int = 0) -> dict:
     # ctc_loss as a function of unconstrained log-probabilities
     lp = _rand(rng, 5, 4)
     targets = [1, 2]
-    checks["ctc_loss"] = check_scalar_graph(lambda: ctc_mod.ctc_loss(lp, targets).loss, {"log_probs": lp})
+    checks["ctc_loss"] = check_scalar_graph(lambda: ctc_mod.ctc_loss(lp, targets), {"log_probs": lp})
 
     # shared head composed with ctc_loss
     hid = _rand(rng, 5, 6)
     wh, bh = _rand(rng, 6, 4), _rand(rng, 4)
     checks["ctc_head+ctc_loss"] = check_scalar_graph(
-        lambda: ctc_mod.ctc_loss(ctc_mod.ctc_head(hid, wh, bh), targets).loss,
+        lambda: ctc_mod.ctc_loss(ctc_mod.ctc_head(hid, wh, bh), targets),
         {"hidden": hid, "w": wh, "b": bh},
     )
 
@@ -217,9 +213,9 @@ def gradcheck_suite(seed: int = 0) -> dict:
     sp = _layer_params_f64(rng, hidden, ffn)
     pl = rng.uniform(-1, 1, (4, hidden))
     leaves = {"x": xl}
-    leaves.update(_params_as_leaves(sp))
+    leaves.update(sp.items())
     checks["self_attention_layer"] = check_scalar_graph(
-        lambda: self_attention_layer(xl, sp, heads), leaves, pl
+        lambda: self_attention_layer(xl, sp, heads, (4,)), leaves, pl
     )
 
     # cross-attention layer driven by a posterior matrix; checks the Q path
@@ -229,9 +225,9 @@ def gradcheck_suite(seed: int = 0) -> dict:
     cp = _layer_params_f64(rng, hidden, ffn, posterior_dim=vdim)
     pc = rng.uniform(-1, 1, (4, hidden))
     leaves_c = {"posterior": post, "x": xc}
-    leaves_c.update(_params_as_leaves(cp))
+    leaves_c.update(cp.items())
     checks["cross_attention_layer"] = check_scalar_graph(
-        lambda: cross_attention_layer(tz.exp(post), xc, cp, heads), leaves_c, pc
+        lambda: cross_attention_layer(tz.exp(post), xc, cp, heads, (4,)), leaves_c, pc
     )
 
     checks["micro_model_total_loss"] = _check_micro_model(seed)

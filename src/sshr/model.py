@@ -103,12 +103,8 @@ class ForwardOutput:
     lengths: tuple[int, ...]
     activations: list[np.ndarray] | None = None
 
-    @property
-    def seq_len(self) -> int:
-        return sum(self.lengths)
 
-
-def extract_and_splice_lid_frame(x: tz.Tensor, lengths=None) -> tz.Tensor:
+def extract_and_splice_lid_frame(x: tz.Tensor, lengths) -> tz.Tensor:
     """Prepend each utterance's mean-over-time row, turning its T x H block
     into (T+1) x H (``lengths`` as in ``tz.mean_over_time``)."""
     return tz.prepend_row(tz.mean_over_time(x, lengths), x, lengths)
@@ -174,7 +170,7 @@ class SshrModel:
 
     def zero_grads(self):
         for t in self.params.values():
-            t.zero_grad()
+            t.grad = None
 
     def _positions(self, lengths) -> np.ndarray:
         tables = []
@@ -279,7 +275,7 @@ class SshrModel:
         for n, (_, transcript, language) in zip(lengths, batch):
             terms = self.ctc_terms(n, transcript, language)
             losses = [
-                ctc_loss(tz.row_slice(p, start, start + rows), targets).loss
+                ctc_loss(tz.row_slice(p, start, start + rows), targets)
                 for p, start, (rows, targets) in zip(scored, starts, terms)
             ]
             starts = [start + rows for start, (rows, _) in zip(starts, terms)]
@@ -291,6 +287,9 @@ class SshrModel:
         return self.batch_loss([(features, transcript, language)])
 
     def decode(self, features) -> list[int]:
+        # imported here, not at module level: the benchmark tracer patches
+        # sshr.ctc.ctc_greedy_decode, and a module-level import would bind
+        # the unpatched function
         from .ctc import ctc_greedy_decode
 
         with tz.no_grad():

@@ -63,9 +63,6 @@ class Tensor:
         self._backward = _backward
         self._needs_grad = requires_grad or bool(_parents)
 
-    def zero_grad(self):
-        self.grad = None
-
     def item(self) -> float:
         return float(self.values)
 
@@ -306,11 +303,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def _segments(lengths, n_rows: int, what: str) -> tuple[int, ...]:
-    """Validated per-segment row counts of a packed matrix; ``None`` is one
-    segment holding every row. Kept as Python ints: a numpy call on a few
-    lengths costs microseconds, paid by every op of every B=1 decode."""
-    if lengths is None:
-        return (n_rows,)
+    """Validated per-segment row counts of a packed matrix. Kept as Python
+    ints: a numpy call on a few lengths costs microseconds, paid by every
+    op of every B=1 decode."""
     seg = tuple(int(n) for n in lengths)
     if not seg or min(seg) < 1 or sum(seg) != n_rows:
         raise ConfigError(f"{what}: segment lengths {list(seg)} do not partition {n_rows} rows")
@@ -335,10 +330,9 @@ def row_slice(x, start: int, stop: int) -> Tensor:
     return _op(xv[start:stop], (x,), backward_fn)
 
 
-def mean_over_time(x, lengths=None) -> Tensor:
+def mean_over_time(x, lengths) -> Tensor:
     """Arithmetic mean of the rows of each segment of a packed (sum T) x H
-    matrix; yields a B x H matrix, or an H-vector when ``lengths`` is None
-    (the whole matrix is one segment)."""
+    matrix; yields a B x H matrix."""
     x = _as_tensor(x)
     xv = x.values
     if xv.ndim != 2 or xv.shape[0] < 1:
@@ -348,44 +342,42 @@ def mean_over_time(x, lengths=None) -> Tensor:
     means = np.add.reduceat(xv, _starts(seg), axis=0) / counts
 
     def backward_fn(g):
-        return (np.repeat(g.reshape(means.shape) / counts, seg, axis=0),)
+        return (np.repeat(g / counts, seg, axis=0),)
 
-    return _op(means[0] if lengths is None else means, (x,), backward_fn)
+    return _op(means, (x,), backward_fn)
 
 
-def prepend_row(row, x, lengths=None) -> Tensor:
+def prepend_row(rows, x, lengths) -> Tensor:
     """Insert row b of a B x H matrix in front of segment b of a packed
-    (sum T) x H matrix, giving (sum T + B) x H. With ``lengths`` None the
-    row is an H-vector and the whole matrix is one segment."""
-    row, x = _as_tensor(row), _as_tensor(x)
-    rv, xv = row.values, x.values
-    rows = rv[None, :] if lengths is None else rv
-    if rows.ndim != 2 or xv.ndim != 2 or rows.shape[1] != xv.shape[1]:
+    (sum T) x H matrix, giving (sum T + B) x H."""
+    rows, x = _as_tensor(rows), _as_tensor(x)
+    rv, xv = rows.values, x.values
+    if rv.ndim != 2 or xv.ndim != 2 or rv.shape[1] != xv.shape[1]:
         raise ConfigError(f"prepend_row width mismatch: {rv.shape} onto {xv.shape}")
     seg = _segments(lengths, xv.shape[0], "prepend_row")
-    if rows.shape[0] != len(seg):
-        raise ConfigError(f"prepend_row needs one row per segment: {rows.shape[0]} rows, {len(seg)} segments")
+    if rv.shape[0] != len(seg):
+        raise ConfigError(f"prepend_row needs one row per segment: {rv.shape[0]} rows, {len(seg)} segments")
     starts = _starts(seg)
     heads = [start + b for b, start in enumerate(starts)]  # output positions of the inserted rows
     body = np.ones(xv.shape[0] + len(seg), dtype=bool)
     body[heads] = False
 
     def backward_fn(g):
-        return g[heads].reshape(rv.shape), g[body]
+        return g[heads], g[body]
 
-    return _op(np.insert(xv, starts, rows, axis=0), (row, x), backward_fn)
+    return _op(np.insert(xv, starts, rv, axis=0), (rows, x), backward_fn)
 
 
-def multi_head_attention(q, k, v, n_heads: int, lengths=None) -> Tensor:
+def multi_head_attention(q, k, v, n_heads: int, lengths) -> Tensor:
     """Scaled dot-product attention over projected q/k/v, all of one
     shape (sum T) x H.
 
     Heads are split from the feature axis; the output has the same shape.
-    With ``lengths`` the rows are packed utterances and attention stays
-    inside each segment (block-diagonal); None is one segment. Each
-    segment is computed on its own rows, unpadded, by exactly the
-    operations of a single-segment call, so a packed result equals the
-    per-utterance results bit for bit. The whole head computation carries
+    The rows are packed utterances of ``lengths`` rows each, and attention
+    stays inside each segment (block-diagonal). Each segment is computed
+    on its own rows, unpadded, by exactly the operations of a
+    single-segment call, so a packed result equals the per-utterance
+    results bit for bit. The whole head computation carries
     one hand-derived gradient rule, which keeps the record short.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)

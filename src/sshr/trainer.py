@@ -146,7 +146,7 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
                 }
                 metrics_fh.write(json.dumps(last_eval, sort_keys=True))
                 metrics_fh.write("\n")
-            if tcfg.checkpoint_interval and step % tcfg.checkpoint_interval == 0:
+            if step % tcfg.checkpoint_interval == 0:
                 model.save(os.path.join(out_dir, f"ckpt_{step:06d}.sshr"))
     final_path = os.path.join(out_dir, "final.sshr")
     model.save(final_path)

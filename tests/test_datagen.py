@@ -122,7 +122,11 @@ class TestLoading:
         (lambda row: json.dumps({k: v for k, v in row.items() if k != "n_frames"}), "malformed row"),
         (lambda row: json.dumps({**row, "feat_file": 5}), "malformed row"),
         (lambda row: json.dumps({**row, "lang": "XX"}), "unknown language 'XX'"),
-    ], ids=["not_json", "unknown_symbol", "missing_key", "feat_file_not_a_path", "unknown_language"])
+        (lambda row: json.dumps({**row, "n_frames": 0, "transcript": ""}), "n_frames 0 is not positive"),
+        (lambda row: json.dumps({**row, "n_frames": -3}), "n_frames -3 is not positive"),
+        (lambda row: json.dumps({**row, "transcript": ""}), "empty transcript"),
+    ], ids=["not_json", "unknown_symbol", "missing_key", "feat_file_not_a_path", "unknown_language",
+            "no_frames_no_phonemes", "negative_frames", "empty_transcript"])
     def test_malformed_manifest_row_names_line(self, tmp_path, bad_row, message):
         generate_corpus(small_spec(), tmp_path)
         manifest = tmp_path / "manifest.dev.jsonl"

@@ -29,7 +29,7 @@ class TestSelfAttentionLayer:
         rng = np.random.default_rng(0)
         p = make_params(rng)
         x = tz.Tensor(rng.normal(size=(t_len, 8)))
-        out = self_attention_layer(x, p, 2)
+        out = self_attention_layer(x, p, 2, (t_len,))
         assert out.values.shape == (t_len, 8)
 
     def test_single_frame_attention_weight_is_one(self):
@@ -41,7 +41,7 @@ class TestSelfAttentionLayer:
         attn_resid = x.values + (v @ p.wo.values + p.bo.values)
         f_in = tz.layer_norm(tz.Tensor(attn_resid), p.ln2_gain, p.ln2_bias)
         expected = attn_resid + (tz.gelu(tz.linear(f_in, p.w1, p.b1)).values @ p.w2.values + p.b2.values)
-        out = self_attention_layer(x, p, 2)
+        out = self_attention_layer(x, p, 2, (1,))
         assert np.allclose(out.values, expected, atol=1e-12)
 
 
@@ -51,20 +51,20 @@ class TestCrossAttentionLayer:
         p = make_params(rng, posterior_dim=5)
         probs = tz.Tensor(rng.uniform(0, 1, (4, 5)))
         x = tz.Tensor(rng.normal(size=(4, 8)))
-        assert cross_attention_layer(probs, x, p, 2).values.shape == (4, 8)
+        assert cross_attention_layer(probs, x, p, 2, (4,)).values.shape == (4, 8)
 
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(3)
         p = make_params(rng, posterior_dim=5)
         with pytest.raises(ConfigError):
-            cross_attention_layer(tz.Tensor(rng.uniform(0, 1, (3, 5))), tz.Tensor(rng.normal(size=(4, 8))), p, 2)
+            cross_attention_layer(tz.Tensor(rng.uniform(0, 1, (3, 5))), tz.Tensor(rng.normal(size=(4, 8))), p, 2, (4,))
 
     def test_posterior_gradient_is_nonzero(self):
         rng = np.random.default_rng(4)
         p = make_params(rng, posterior_dim=5)
         probs = tz.Tensor(rng.uniform(0.1, 0.9, (4, 5)), requires_grad=True)
         x = tz.Tensor(rng.normal(size=(4, 8)))
-        out = cross_attention_layer(probs, x, p, 2)
+        out = cross_attention_layer(probs, x, p, 2, (4,))
         flow = tz.backward(out)
         assert np.linalg.norm(flow[probs]) > 1e-8
 
