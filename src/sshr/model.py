@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -158,6 +159,17 @@ class SshrModel:
         self.b_head = tz.param(np.zeros(vocab_size, dtype=dtype), "head.b")
         self.params["head.w"] = self.w_head
         self.params["head.b"] = self.b_head
+        # every parameter's values and grad are views of two flat vectors,
+        # in declaration order, so zeroing and the optimizer are
+        # whole-vector operations
+        self.flat_values = np.concatenate([t.values.ravel() for t in self.params.values()])
+        self.flat_grads = np.zeros_like(self.flat_values)
+        start = 0
+        for t in self.params.values():
+            stop, shape = start + t.values.size, t.values.shape
+            t.values = self.flat_values[start:stop].reshape(shape)
+            t.grad = self.flat_grads[start:stop].reshape(shape)
+            start = stop
         self._pos_cache: dict[int, np.ndarray] = {}
 
     def _head(self, x: tz.Tensor) -> tz.Tensor:
@@ -169,8 +181,7 @@ class SshrModel:
         return self.stack.depth
 
     def zero_grads(self):
-        for t in self.params.values():
-            t.grad = None
+        self.flat_grads.fill(0)
 
     def _positions(self, lengths) -> np.ndarray:
         tables = []
@@ -321,8 +332,19 @@ class SshrModel:
         return buf.getvalue()
 
     def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.save_bytes())
+        """Write the checkpoint through a temporary file in the target's
+        directory and ``os.replace``, so a crash mid-write leaves any
+        earlier file at ``path`` whole."""
+        raw = self.save_bytes()
+        tmp = f"{path}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(raw)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load_bytes(cls, raw: bytes) -> "SshrModel":
@@ -361,10 +383,10 @@ class SshrModel:
             if shape != t.values.shape:
                 raise ConfigError(f"blob {name!r} shape {shape} != expected {t.values.shape}")
             (data,) = read(f"<{int(np.prod(shape, dtype=np.int64)) * 4}s", f"the data of blob {name!r}")
-            values = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+            values = np.frombuffer(data, dtype="<f4").reshape(shape)
             if not np.isfinite(values).all():
                 raise CorruptDataError(f"checkpoint blob {name!r} holds non-finite values")
-            t.values = values
+            t.values[...] = values
         if view.read(1):
             raise CorruptDataError(f"checkpoint has {len(raw) - view.tell() + 1} trailing bytes")
         return model

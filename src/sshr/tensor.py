@@ -8,12 +8,19 @@ is the topologically ordered set of tensors reachable from a root.
 Gradients accumulate into ``.grad`` of every tensor built with
 ``requires_grad=True``; callers zero grads between steps.
 
-Gradient arrays are shared, not copied: ``backward`` stores the array a
-rule returns as the parent's gradient (``add`` hands one array to both
-parents) and a tensor's ``.grad`` is that same array. So a backward rule
-must never write into the gradient it receives, nor into any forward
-value it closed over; every in-place step writes into a buffer the rule
-allocated itself.
+Gradient arrays are shared, not copied, inside a sweep: ``backward``
+passes the array a rule returns on as the parent's gradient (``add``
+hands one array to both parents). So a backward rule must never write
+into the gradient it receives, nor into any forward value it closed over;
+every in-place step writes into a buffer the rule allocated itself. An
+intermediate gradient is dropped as soon as its node's rule has used it,
+so a sweep holds only the gradients still waiting for their rule.
+
+``.grad`` is owned storage: a tensor's first gradient is stored as a copy,
+and later ones are added into it in place. A model's parameters hold
+``values`` and ``.grad`` as views of two flat vectors the model owns, so
+a sweep adds straight into them; updating those vectors in place between
+steps (Adam) is safe only because no step's graph outlives the step.
 """
 
 from __future__ import annotations
@@ -44,8 +51,9 @@ def no_grad():
 class Tensor:
     """A numpy array plus an optional gradient slot and graph linkage.
 
-    Values are immutable by convention once created by an op; only ``grad``
-    is mutated afterwards. Every forward op validates that its output is
+    An op's values are immutable by convention once created; ``grad`` is
+    mutated afterwards, and a parameter's values only by an optimizer step
+    between graphs. Every forward op validates that its output is
     finite, so NaN/Inf surfaces at the op that produced it.
     """
 
@@ -110,12 +118,14 @@ def linearize(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor, seed=None) -> dict[Tensor, np.ndarray]:
-    """Reverse-mode sweep from ``root``; returns the full gradient flow.
+    """Reverse-mode sweep from ``root``; returns this sweep's gradients.
 
     ``seed`` must match the root's shape (defaults to ones). Gradients are
     *added* into ``.grad`` of every requires_grad tensor, so repeated calls
-    accumulate; the returned dict maps each reached tensor to the gradient
-    of this sweep alone.
+    accumulate; the returned dict maps each reached requires_grad tensor
+    to the gradient of this sweep alone. Every other gradient is freed
+    once its node's rule has used it, so setting ``requires_grad`` on an
+    intermediate is how a caller observes its gradient.
     """
     if seed is None:
         seed = np.ones_like(root.values)
@@ -124,7 +134,7 @@ def backward(root: Tensor, seed=None) -> dict[Tensor, np.ndarray]:
         raise ConfigError(f"seed shape {seed.shape} does not match output shape {root.values.shape}")
     flow: dict[Tensor, np.ndarray] = {root: seed.copy()}
     for node in reversed(linearize(root)):
-        g = flow.get(node)
+        g = flow.get(node) if node.requires_grad else flow.pop(node, None)
         if g is None or node._backward is None:
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
@@ -135,9 +145,11 @@ def backward(root: Tensor, seed=None) -> dict[Tensor, np.ndarray]:
             # parents) but never copy; sums are out of place because
             # arrays are shared
             flow[parent] = np.asarray(pg if buf is None else buf + pg, dtype=parent.values.dtype)
-    for node, g in flow.items():
-        if node.requires_grad:
-            node.grad = g if node.grad is None else node.grad + g
+    for node, g in flow.items():  # only requires_grad tensors are left
+        if node.grad is None:
+            node.grad = g.copy()  # g may be shared with another tensor's flow
+        else:
+            node.grad += g
     return flow
 
 

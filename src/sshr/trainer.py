@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,42 +44,63 @@ class TrainConfig(Strict):
                 raise ConfigError(f"train config {name} must be positive")
 
 
-class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+ADAM_CHUNK = 1 << 14  # values per block of the Adam update
 
-    def __init__(self, params: "OrderedDict[str, tz.Tensor]"):
+
+class AdamState:
+    """First/second moment vectors, one value per flat parameter value,
+    plus the shared step counter."""
+
+    def __init__(self, params: np.ndarray):
         self.t = 0
-        self.m = {name: np.zeros_like(p.values) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.values) for name, p in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
 
 def adam_step(
-    params: "OrderedDict[str, tz.Tensor]",
-    grads: dict,
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    """One bias-corrected Adam update; missing grads count as zero."""
+    """One bias-corrected Adam update of the flat ``params`` in place.
+
+    ``grads`` and the moments are flat vectors of the same length. The
+    update runs in blocks of ``ADAM_CHUNK`` values through two block-sized
+    buffers, so it allocates nothing of the parameters' size; Adam is
+    elementwise, so the blocks give the bits of a whole-vector update.
+    """
+    if grads.shape != params.shape or state.m.shape != params.shape:
+        raise ConfigError(
+            f"Adam needs equal flat lengths: parameters {params.shape}, gradients {grads.shape}, moments {state.m.shape}"
+        )
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.values)
-        elif g.shape != p.values.shape:
-            raise ConfigError(f"gradient shape {g.shape} != parameter {name} shape {p.values.shape}")
-        m = state.m[name]
-        v = state.v[name]
+    buf_a = np.empty(min(ADAM_CHUNK, params.size), dtype=params.dtype)
+    buf_b = np.empty_like(buf_a)
+    for start in range(0, params.size, ADAM_CHUNK):
+        p, g, m, v = (a[start : start + ADAM_CHUNK] for a in (params, grads, state.m, state.v))
+        a, b = buf_a[: p.size], buf_b[: p.size]
+        # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g^2
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(g, 1.0 - beta1, out=a)
+        m += a
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        p.values = p.values - lr * update
+        np.multiply(g, g, out=a)
+        a *= 1.0 - beta2
+        v += a
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(m, bc1, out=b)
+        b /= a
+        b *= lr
+        p -= b
     return state
 
 
@@ -115,7 +135,7 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
         raise ConfigError(f"corpus {corpus_dir}: the train split has no utterances")
     dev_utts = load_split(corpus_dir, "dev")
     model = SshrModel(cfg)
-    state = AdamState(model.params)
+    state = AdamState(model.flat_values)
     rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed & 0xFFFFFFFF, 0xA1]))
     batches = _batch_stream(train_utts, min(tcfg.batch_size, len(train_utts)), rng)
 
@@ -132,8 +152,7 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
             model.zero_grads()
             if kept:
                 losses_since_eval.append(_backward_step(model, kept))
-                grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
-                adam_step(model.params, grads, state, lr_t)
+                adam_step(model.flat_values, model.flat_grads, state, lr_t)
             if step % tcfg.eval_interval == 0 or step == tcfg.steps:
                 dev = evaluate_model(model, dev_utts)
                 mean_loss = sum(losses_since_eval) / max(1, len(losses_since_eval))

@@ -39,6 +39,21 @@ def small_vocab(small_corpus):
     return Vocabulary(spec.phoneme_symbols, spec.language_names)
 
 
+def adam_per_parameter(values: dict, grads: dict, m: dict, v: dict, t: int, lr: float,
+                       beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step ``t`` as a loop over parameter arrays, the reference for
+    the flat update: rebinds ``values[name]``, updates the moments in place."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, g in grads.items():
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        values[name] = values[name] - lr * update
+
+
 def rand_log_softmax(rng, t, v, dtype=np.float64, scale=1.0):
     x = rng.normal(0.0, scale, (t, v))
     x = x - np.log(np.exp(x - x.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) - x.max(axis=1, keepdims=True)

@@ -220,6 +220,7 @@ class TestForward:
         feats = np.random.default_rng(2).normal(size=(6, 4)).astype(np.float32)
         out = model.forward(feats)
         loss = ctc_loss(out.final, [1, 2])
+        out.intermediates[0].requires_grad = True  # the sweep keeps only requires_grad gradients
         flow = tz.backward(loss, seed=np.asarray(1.0, dtype=np.float32))
         tap_grad = flow.get(out.intermediates[0])
         assert tap_grad is not None and np.linalg.norm(tap_grad) > 0
@@ -354,6 +355,81 @@ class TestCheckpoint:
         b = clone.forward(feats).final.values
         assert np.array_equal(a, b)
 
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import builtins
+
+        import sshr.model
+
+        cfg = tiny_model_config(depth=3, lid_extract_layer=1, lid_in_targets=True, cross_taps=[2], loss_weight=0.5)
+        path = tmp_path / "m.sshr"
+        SshrModel(cfg).save(path)
+        before = path.read_bytes()
+
+        class HalfWrite:
+            """A file that writes half of what it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, raw):
+                self.fh.write(raw[: len(raw) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(sshr.model, "open", lambda *a, **k: HalfWrite(builtins.open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            SshrModel(tiny_model_config(depth=3, seed=1)).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.sshr"]
+
+
+class TestParameterArena:
+    """Every parameter's values and grad are views of the model's two flat
+    vectors, whatever has happened to the model since construction."""
+
+    @staticmethod
+    def _assert_views(model):
+        assert model.flat_values.size == sum(p.values.size for p in model.params.values())
+        for name, p in model.params.items():
+            assert np.shares_memory(p.values, model.flat_values), name
+            assert np.shares_memory(p.grad, model.flat_grads), name
+        model.flat_grads.fill(1)
+        model.zero_grads()
+        assert all(not p.grad.any() for p in model.params.values())
+
+    def test_views_after_construction_and_load(self):
+        cfg = SshrConfig.from_dict(apply_variant(tiny_model_config(depth=8).to_dict(), "C4"))
+        model = SshrModel(cfg)
+        self._assert_views(model)
+        # declaration order: the vector is the parameters laid end to end
+        assert np.array_equal(model.flat_values, np.concatenate([p.values.ravel() for p in model.params.values()]))
+        loaded = SshrModel.load_bytes(model.save_bytes())
+        self._assert_views(loaded)
+        assert loaded.flat_values.tobytes() == model.flat_values.tobytes()
+
+    def test_views_after_a_train_step(self, small_corpus, small_vocab, tmp_path, monkeypatch):
+        from sshr.trainer import train
+
+        models = []
+        real_batch_loss = SshrModel.batch_loss
+
+        def spy(model, batch):
+            models.append(model)
+            return real_batch_loss(model, batch)
+
+        monkeypatch.setattr(SshrModel, "batch_loss", spy)
+        cfg = tiny_model_config(vocab=small_vocab, depth=2, hidden=8, heads=2, ffn=16, feature_dim=16, seed=4)
+        summary = train(cfg, {"steps": 1, "seed": 4, "batch_size": 2}, small_corpus, tmp_path)
+        (model,) = models
+        assert model.flat_grads.any()  # the step's gradient landed in the vector
+        self._assert_views(model)
+        assert SshrModel.load(summary["checkpoint"]).flat_values.tobytes() == model.flat_values.tobytes()
+
 
 def _random_batch(rng, model, size):
     """``size`` feasible utterances with lengths in [2, 80]."""
@@ -385,7 +461,8 @@ class TestPackedEquivalence:
             model.zero_grads()
             packed = model.batch_loss(batch)
             tz.backward(packed)
-            packed_grads = {name: p.grad for name, p in model.params.items()}
+            # copies: each .grad is a view that zero_grads overwrites
+            packed_grads = {name: p.grad.copy() for name, p in model.params.items()}
 
             model.zero_grads()
             separate = 0.0
@@ -394,10 +471,8 @@ class TestPackedEquivalence:
                 tz.backward(loss, seed=np.asarray(1.0 / size))
                 separate += loss.item() / size
             assert abs(packed.item() - separate) <= 1e-6 * abs(separate)
-            for name, p in model.params.items():
-                assert (packed_grads[name] is None) == (p.grad is None), name
-                if p.grad is not None:
-                    assert relative_error(packed_grads[name], p.grad) <= 1e-6, name
+            for name, p in model.params.items():  # a parameter no loss reaches has a zero gradient
+                assert relative_error(packed_grads[name], p.grad) <= 1e-6, name
 
     def test_float32_gradients_keep_parameter_dtype(self):
         # backward casts each arriving gradient to its parent's dtype; the
@@ -406,8 +481,9 @@ class TestPackedEquivalence:
         base["stack"].update({"hidden": 8, "heads": 2, "ffn": 16})
         model = SshrModel(SshrConfig.from_dict(apply_variant(base, "C4")))
         model.zero_grads()
-        tz.backward(model.batch_loss(_random_batch(np.random.default_rng(5), model, 4)))
-        grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
+        flow = tz.backward(model.batch_loss(_random_batch(np.random.default_rng(5), model, 4)))
+        # the sweep's own arrays: a float32 .grad view would hide a float64 one
+        grads = {name: flow[p] for name, p in model.params.items() if p in flow}
         assert grads
         for name, g in grads.items():
             assert g.dtype == np.float32 == model.params[name].values.dtype, name

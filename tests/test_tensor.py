@@ -224,6 +224,33 @@ class TestBackward:
             for parent in node._parents:
                 assert position[id(parent)] < position[id(node)]
 
+    def test_sweep_frees_intermediate_gradients(self):
+        # a 40-op chain: the sweep must not hold every link's gradient at once
+        import tracemalloc
+
+        x = t64(np.random.default_rng(9).normal(size=200_000), requires_grad=True)
+        out = x
+        for _ in range(40):
+            out = tz.scale(out, 1.0)
+        tracemalloc.start()
+        try:
+            flow = tz.backward(out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.values.nbytes
+        assert list(flow) == [x] and np.array_equal(x.grad, np.ones(200_000))
+
+    def test_grad_is_owned_and_accumulates_in_place(self):
+        # add hands one array to both parents: the first .grad must be a copy
+        a, b = t64([1.0, 2.0], requires_grad=True), t64([3.0, 4.0], requires_grad=True)
+        out = tz.add(a, b)
+        tz.backward(out)
+        assert not np.shares_memory(a.grad, b.grad)
+        grad_a = a.grad
+        tz.backward(out)
+        assert a.grad is grad_a and np.array_equal(a.grad, [2.0, 2.0]) and np.array_equal(b.grad, [2.0, 2.0])
+
     def test_diamond_gradient(self):
         x = t64([[1.0, -0.5, 0.25]], requires_grad=True)
         y = tz.add(x, x)

@@ -1,45 +1,68 @@
 import weakref
-from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config
+from conftest import adam_per_parameter, tiny_model_config, tiny_vocab
 from sshr import tensor as tz
 from sshr.ctc import Vocabulary
 from sshr.datagen import default_corpus_spec, generate_corpus, load_split
 from sshr.errors import ConfigError
+from sshr.evalkit import apply_variant
 from sshr.gradcheck import REL_TOL, check_scalar_graph, gradcheck_suite
-from sshr.model import SshrModel
-from sshr.trainer import AdamState, TrainConfig, adam_step, train
+from sshr.model import SshrConfig, SshrModel, default_model_config
+from sshr.trainer import ADAM_CHUNK, AdamState, TrainConfig, adam_step, train
 
 
 def scalar_params(value):
-    p = tz.param(np.asarray([value], dtype=np.float64), "p")
-    return OrderedDict([("p", p)])
+    return np.asarray([value], dtype=np.float64)
 
 
 class TestAdam:
     def test_zero_gradient_fresh_state_unchanged(self):
         params = scalar_params(1.25)
-        adam_step(params, {"p": np.zeros(1)}, AdamState(params), lr=0.1)
-        assert params["p"].values[0] == 1.25
+        adam_step(params, np.zeros(1), AdamState(params), lr=0.1)
+        assert params[0] == 1.25
 
     def test_zero_lr_unchanged(self):
         params = scalar_params(1.25)
-        adam_step(params, {"p": np.ones(1)}, AdamState(params), lr=0.0)
-        assert params["p"].values[0] == 1.25
+        adam_step(params, np.ones(1), AdamState(params), lr=0.0)
+        assert params[0] == 1.25
 
     def test_hand_evaluated_first_step(self):
         # bias corrections cancel at t=1: update = lr * g / (|g| + eps)
         params = scalar_params(1.0)
-        adam_step(params, {"p": np.ones(1)}, AdamState(params), lr=0.1)
-        assert abs(params["p"].values[0] - 0.9) < 1e-6
+        adam_step(params, np.ones(1), AdamState(params), lr=0.1)
+        assert abs(params[0] - 0.9) < 1e-6
 
     def test_shape_mismatch(self):
         params = scalar_params(1.0)
         with pytest.raises(ConfigError):
-            adam_step(params, {"p": np.ones(3)}, AdamState(params), lr=0.1)
+            adam_step(params, np.ones(3), AdamState(params), lr=0.1)
+
+    def test_chunked_flat_steps_equal_per_parameter_loop_bitwise(self):
+        # C4 parameter shapes at default width: Adam's blocks end inside
+        # parameters, and the last block is a partial one
+        cfg = SshrConfig.from_dict(apply_variant(default_model_config(tiny_vocab(40, 4), 40, seed=2), "C4"))
+        model = SshrModel(cfg)
+        shapes = {name: p.values.shape for name, p in model.params.items()}
+        sizes = [p.values.size for p in model.params.values()]
+        ends = np.cumsum(sizes)
+        assert sum((end - n) // ADAM_CHUNK != (end - 1) // ADAM_CHUNK for end, n in zip(ends, sizes)) >= 5
+        assert ends[-1] % ADAM_CHUNK
+        values = {name: p.values.copy() for name, p in model.params.items()}
+        m = {name: np.zeros_like(a) for name, a in values.items()}
+        v = {name: np.zeros_like(a) for name, a in values.items()}
+        state = AdamState(model.flat_values)
+        rng = np.random.default_rng(11)
+        for t in range(1, 21):
+            lr = 1e-3 * min(1.0, t / 5)
+            grads = {name: rng.normal(0.0, 0.1, shape).astype(np.float32) for name, shape in shapes.items()}
+            adam_per_parameter(values, grads, m, v, t, lr)
+            adam_step(model.flat_values, np.concatenate([g.ravel() for g in grads.values()]), state, lr)
+        assert state.t == 20
+        for flat, per_param in ((model.flat_values, values), (state.m, m), (state.v, v)):
+            assert flat.tobytes() == np.concatenate([a.ravel() for a in per_param.values()]).tobytes()
 
 
 class TestTrainConfig:
