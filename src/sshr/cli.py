@@ -23,6 +23,7 @@ from .ctc import Vocabulary
 from .datagen import DEFAULT_COUNTS, default_corpus_spec, generate_corpus, load_corpus_spec, load_split
 from .errors import ConfigError, CorruptDataError, SshrError
 from .evalkit import DEFAULT_LADDER, apply_variant, evaluate_model, run_ablation
+from .files import write_json
 from .gradcheck import gradcheck_suite
 from .model import SshrConfig, SshrModel, default_model_config
 from .probe import probe_all_layers, write_report
@@ -176,9 +177,7 @@ class _Run:
             "finished_at": _utc_now(),
             "outputs": sorted(self.outputs),
         }
-        with open(os.path.join(self.out_dir, "run_manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(os.path.join(self.out_dir, "run_manifest.json"), manifest)
 
 
 def cmd_datagen(args) -> int:
@@ -238,9 +237,7 @@ def cmd_eval(args) -> int:
     scores = evaluate_model(model, utts)
     payload = {"split": cfg.split, "n_utterances": len(utts), **scores}
     out_path = os.path.join(args.out, "eval.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(out_path, payload)
     run.record(out_path)
     run.finish()
     log.info("eval: %s", payload)
@@ -316,9 +313,7 @@ def cmd_gradcheck(args) -> int:
     report = gradcheck_suite(seed=args.seed)
     run.resolved_config = {"seed": args.seed}
     out_path = os.path.join(args.out, "gradcheck.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(out_path, report)
     run.record(out_path)
     run.finish()
     for name, entry in sorted(report["checks"].items()):

@@ -52,15 +52,11 @@ class Vocabulary(Strict):
             raise ConfigError(f"phoneme index {phoneme_index} out of range")
         return 1 + phoneme_index
 
-    def lid_token(self, language) -> int:
-        if isinstance(language, str):
-            try:
-                return self.first_lid_id + self.languages.index(language)
-            except ValueError:
-                raise ConfigError(f"unknown language id {language!r}") from None
-        if not 0 <= int(language) < len(self.languages):
-            raise ConfigError(f"unknown language id {language!r}")
-        return self.first_lid_id + int(language)
+    def lid_token(self, language: str) -> int:
+        try:
+            return self.first_lid_id + self.languages.index(language)
+        except ValueError:
+            raise ConfigError(f"unknown language id {language!r}") from None
 
     def is_lid(self, token: int) -> bool:
         return self.first_lid_id <= token < self.size

@@ -31,6 +31,7 @@ import numpy as np
 from .config import Strict
 from .ctc import collapse_frames
 from .errors import ConfigError, CorruptDataError
+from .files import canonical_json, replacing, write_json, write_text
 
 SPLITS = ("train", "dev", "test")
 MAX_TRANSFORM_CONDITION = 1e6
@@ -220,9 +221,7 @@ def _sample_utterance(spec: CorpusSpec, lang: LanguageSpec, rng: np.random.Gener
 def generate_corpus(spec: CorpusSpec, out_dir) -> dict:
     """Write the corpus to ``out_dir``; byte-identical for identical specs."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "corpus.json"), "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "corpus.json"), spec.to_dict())
     summary = {"out_dir": str(out_dir), "splits": {}}
     for split_idx, split in enumerate(SPLITS):
         count = spec.counts.get(split, 0)
@@ -253,15 +252,13 @@ def generate_corpus(spec: CorpusSpec, out_dir) -> dict:
                 feat_payload.extend(blob)
                 align_payload.extend(alignment.astype("<u2").tobytes())
                 offset += len(blob)
-        with open(os.path.join(out_dir, feat_name), "wb") as fh:
-            fh.write(bytes(feat_payload))
-            fh.write(struct_crc(bytes(feat_payload)))
-        with open(os.path.join(out_dir, f"{split}.align"), "wb") as fh:
-            fh.write(bytes(align_payload))
-        with open(os.path.join(out_dir, f"manifest.{split}.jsonl"), "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
+        with replacing(os.path.join(out_dir, feat_name), "wb") as fh:
+            fh.write(feat_payload)
+            fh.write(struct_crc(feat_payload))
+        with replacing(os.path.join(out_dir, f"{split}.align"), "wb") as fh:
+            fh.write(align_payload)
+        manifest = "".join(canonical_json(row) + "\n" for row in rows)
+        write_text(os.path.join(out_dir, f"manifest.{split}.jsonl"), manifest)
         summary["splits"][split] = len(rows)
     return summary
 

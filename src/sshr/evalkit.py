@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 from .config import overlay
 from .ctc import Vocabulary
 from .errors import ConfigError
-from .model import canonical_json
+from .files import canonical_json, replacing, write_json
 
 # Published full-scale reference numbers for each ladder variant, attached
 # to reports as context only; toy runs do not target them.
@@ -209,6 +210,8 @@ def run_ablation(
     ``ladder`` entries are builtin variant ids or (id, model_cfg) pairs for
     custom variants.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     from .trainer import run_single_experiment  # local import: trainer uses these metrics
 
     os.makedirs(out_dir, exist_ok=True)
@@ -221,43 +224,29 @@ def run_ablation(
 
     results: list[ExperimentResult] = []
     failures: list[dict] = []
-
-    def consume(task, outcome):
-        variant, seed, variant_cfg, _ = task
-        if isinstance(outcome, Exception):
-            failures.append({"variant": variant, "seed": seed, "error": str(outcome)})
-            return
-        results.append(
-            ExperimentResult(
-                variant=variant,
-                seed=seed,
-                config_hash=config_hash(variant_cfg),
-                dev_per=outcome["dev_per"],
-                test_per=outcome["test_per"],
-                lid_acc=outcome["lid_acc"],
-            )
-        )
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(run_single_experiment, cfg, dict(train_cfg, seed=seed), corpus_dir, run_dir)
-                for (_, seed, cfg, run_dir) in tasks
-            ]
-            for task, fut in zip(tasks, futures):
-                try:
-                    consume(task, fut.result())
-                except Exception as err:  # noqa: BLE001 - per-variant isolation
-                    consume(task, err)
-    else:
-        for task in tasks:
-            variant, seed, cfg, run_dir = task
+    args = [(cfg, dict(train_cfg, seed=seed), corpus_dir, run_dir) for _, seed, cfg, run_dir in tasks]
+    # one call per task, in task order: a pool future's result, or the run itself
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        calls = [
+            pool.submit(run_single_experiment, *a).result if pool else partial(run_single_experiment, *a)
+            for a in args
+        ]
+        for (variant, seed, variant_cfg, _), call in zip(tasks, calls):
             try:
-                consume(task, run_single_experiment(cfg, dict(train_cfg, seed=seed), corpus_dir, run_dir))
+                outcome = call()
             except Exception as err:  # noqa: BLE001 - per-variant isolation
-                consume(task, err)
+                failures.append({"variant": variant, "seed": seed, "error": str(err)})
+                continue
+            results.append(
+                ExperimentResult(
+                    variant=variant,
+                    seed=seed,
+                    config_hash=config_hash(variant_cfg),
+                    dev_per=outcome["dev_per"],
+                    test_per=outcome["test_per"],
+                    lid_acc=outcome["lid_acc"],
+                )
+            )
 
     variant_ids = [vid for vid, _ in pairs]
     order = {v: i for i, v in enumerate(variant_ids)}
@@ -267,8 +256,7 @@ def run_ablation(
 
 
 def write_ablation_report(results, failures, ladder, out_dir):
-    csv_path = os.path.join(out_dir, "ablation.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(os.path.join(out_dir, "ablation.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "seed", "dev_per", "test_per", "lid_acc", "paper_ref_value", "paper_ref_table"])
         for r in results:
@@ -312,6 +300,4 @@ def write_ablation_report(results, failures, ladder, out_dir):
             # toy-scale relative change vs the ladder's first row, context only
             entry["relative_change_vs_baseline"] = (baseline_mean - mean) / baseline_mean
         summary["variants"][variant] = entry
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)

@@ -1,0 +1,45 @@
+"""The one write path for every output file.
+
+A file is written to ``<path>.tmp`` beside its target and then moved over
+it with ``os.replace``, so a process killed mid-write leaves any earlier
+file at ``path`` whole and no partial file under the target's name; a
+write that raises removes the temporary file. There is no ``fsync``: the
+guarantee covers a crashed process, not a lost machine.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from contextlib import contextmanager
+
+
+def canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@contextmanager
+def replacing(path, mode: str = "w"):
+    """An open file (``mode`` "w" or "wb"; text is UTF-8, newlines
+    untranslated) whose contents replace ``path`` when the block exits
+    cleanly."""
+    tmp = f"{path}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_text(path, text: str):
+    with replacing(path) as fh:
+        fh.write(text)
+
+
+def write_json(path, obj):
+    """``obj`` as sorted, one-space-indented JSON plus a final newline."""
+    write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")

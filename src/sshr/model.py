@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -30,12 +29,9 @@ from .config import Strict
 from .ctc import Vocabulary, ctc_head, ctc_loss, min_frames
 from .encoder import EncoderStack, StackConfig, cross_attention_layer, self_attention_layer
 from .errors import ConfigError, CorruptDataError, SshrError
+from .files import canonical_json, replacing
 
 CHECKPOINT_MAGIC = b"SSHR1"
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -332,19 +328,11 @@ class SshrModel:
         return buf.getvalue()
 
     def save(self, path):
-        """Write the checkpoint through a temporary file in the target's
-        directory and ``os.replace``, so a crash mid-write leaves any
-        earlier file at ``path`` whole."""
+        """Write the checkpoint through ``files.replacing``: a crash
+        mid-write leaves any earlier file at ``path`` whole."""
         raw = self.save_bytes()
-        tmp = f"{path}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(raw)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with replacing(path, "wb") as fh:
+            fh.write(raw)
 
     @classmethod
     def load_bytes(cls, raw: bytes) -> "SshrModel":

@@ -9,7 +9,6 @@ per-frame phoneme labels. Layer 0 is the projected-and-positioned input.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ConfigError
+from .files import replacing, write_json
 
 
 def collect_layer_data(model, utterances):
@@ -57,14 +57,17 @@ def collect_layer_data(model, utterances):
     return pooled, frames, lang_labels, frame_labels
 
 
+PROBE_L2 = 1e-4  # L2 weight of the language probe
+PROBE_MAX_ITER = 2000
+PROBE_GRAD_TOL = 1e-5  # stop once the gradient norm falls below this
+
+
 class LogisticRegressionProbe:
     """Multinomial logistic regression trained by full-batch gradient
-    descent: L2 weight 1e-4, stop at gradient norm < 1e-5 or 2000 steps."""
+    descent: L2 weight ``PROBE_L2``, stop at gradient norm <
+    ``PROBE_GRAD_TOL`` or after ``PROBE_MAX_ITER`` steps."""
 
-    def __init__(self, l2: float = 1e-4, max_iter: int = 2000, grad_tol: float = 1e-5):
-        self.l2 = l2
-        self.max_iter = max_iter
-        self.grad_tol = grad_tol
+    def __init__(self):
         self.weights = None
         self.classes_ = None
         self._mean = None
@@ -87,16 +90,16 @@ class LogisticRegressionProbe:
         onehot[np.arange(n), y_idx] = 1.0
 
         # fixed step from the softmax-Hessian bound 0.5 * lmax(X^T X)/N + l2
-        lr = 1.0 / (0.5 * _power_iteration_lmax(xb) / n + self.l2)
+        lr = 1.0 / (0.5 * _power_iteration_lmax(xb) / n + PROBE_L2)
         w = np.zeros((d + 1, m))
-        for _ in range(self.max_iter):
+        for _ in range(PROBE_MAX_ITER):
             logits = xb @ w
             logits -= logits.max(axis=1, keepdims=True)
             e = np.exp(logits)
             p = e / e.sum(axis=1, keepdims=True)
             grad = xb.T @ (p - onehot) / n
-            grad[:-1] += self.l2 * w[:-1]  # bias row carries no penalty
-            if np.sqrt((grad * grad).sum()) < self.grad_tol:
+            grad[:-1] += PROBE_L2 * w[:-1]  # bias row carries no penalty
+            if np.sqrt((grad * grad).sum()) < PROBE_GRAD_TOL:
                 break
             w -= lr * grad
         self.weights = w
@@ -138,14 +141,14 @@ def stratified_split(labels: np.ndarray, train_frac: float, seed: int):
     return np.sort(np.asarray(train_idx)), np.sort(np.asarray(test_idx))
 
 
-def lid_probe(pooled: np.ndarray, labels: np.ndarray, l2: float = 1e-4, split_seed: int = 0) -> float:
+def lid_probe(pooled: np.ndarray, labels: np.ndarray, split_seed: int = 0) -> float:
     """Held-out accuracy of the language probe on a stratified 70/30 split."""
     pooled = np.asarray(pooled)
     labels = np.asarray(labels)
     if pooled.shape[0] != labels.shape[0]:
         raise ConfigError("pooled representation / label count mismatch")
     train_idx, test_idx = stratified_split(labels, 0.7, split_seed)
-    probe = LogisticRegressionProbe(l2=l2)
+    probe = LogisticRegressionProbe()
     probe.fit(pooled[train_idx], labels[train_idx])
     return probe.score(pooled[test_idx], labels[test_idx])
 
@@ -308,10 +311,8 @@ def write_report(report: ProbeReport, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "probe_report.json")
     csv_path = os.path.join(out_dir, "probe_report.csv")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    write_json(json_path, report.to_dict())
+    with replacing(csv_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "lid_acc", "mi_nats"])
         for row in report.rows:

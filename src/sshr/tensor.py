@@ -270,11 +270,13 @@ def log_softmax_rows(x) -> Tensor:
     return _op(out64.astype(xv.dtype), (x,), backward_fn)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then affine."""
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x, gain, bias) -> Tensor:
+    """Per-row normalization to zero mean / unit variance (``LAYER_NORM_EPS``
+    added to the variance), then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    if eps <= 0:
-        raise ConfigError("layer_norm eps must be positive")
     xv, gv, bv = x.values, gain.values, bias.values
     if xv.ndim != 2 or xv.shape[1] < 1:
         raise ConfigError(f"layer_norm expects a T x H matrix, got shape {xv.shape}")
@@ -288,7 +290,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     out = xh * xh
     var = np.add.reduce(out, axis=1, keepdims=True)
     var /= n
-    var += eps
+    var += LAYER_NORM_EPS
     inv = 1.0 / np.sqrt(var)
     xh *= inv
     np.multiply(xh, gv, out=out)

@@ -23,6 +23,7 @@ from .config import Strict
 from .datagen import load_split
 from .errors import ConfigError
 from .evalkit import evaluate_model
+from .files import write_json, write_text
 from .model import SshrConfig, SshrModel
 
 
@@ -45,6 +46,7 @@ class TrainConfig(Strict):
 
 
 ADAM_CHUNK = 1 << 14  # values per block of the Adam update
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class AdamState:
@@ -57,16 +59,9 @@ class AdamState:
         self.v = np.zeros_like(params)
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
-    """One bias-corrected Adam update of the flat ``params`` in place.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> AdamState:
+    """One bias-corrected Adam update of the flat ``params`` in place, with
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     ``grads`` and the moments are flat vectors of the same length. The
     update runs in blocks of ``ADAM_CHUNK`` values through two block-sized
@@ -78,25 +73,25 @@ def adam_step(
             f"Adam needs equal flat lengths: parameters {params.shape}, gradients {grads.shape}, moments {state.m.shape}"
         )
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     buf_a = np.empty(min(ADAM_CHUNK, params.size), dtype=params.dtype)
     buf_b = np.empty_like(buf_a)
     for start in range(0, params.size, ADAM_CHUNK):
         p, g, m, v = (a[start : start + ADAM_CHUNK] for a in (params, grads, state.m, state.v))
         a, b = buf_a[: p.size], buf_b[: p.size]
         # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g^2
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=a)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         m += a
-        v *= beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=a)
-        a *= 1.0 - beta2
+        a *= 1.0 - ADAM_BETA2
         v += a
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(v, bc2, out=a)
         np.sqrt(a, out=a)
-        a += eps
+        a += ADAM_EPS
         np.divide(m, bc1, out=b)
         b /= a
         b *= lr
@@ -140,33 +135,34 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
     batches = _batch_stream(train_utts, min(tcfg.batch_size, len(train_utts)), rng)
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
+    metrics = ""  # the log so far; the file is rewritten whole, never left half a line
+    write_text(metrics_path, metrics)
     skipped = 0
     losses_since_eval: list[float] = []
     last_eval: dict = {}
-    with open(metrics_path, "w", encoding="utf-8") as metrics_fh:
-        for step in range(1, tcfg.steps + 1):
-            lr_t = tcfg.lr * min(1.0, step / tcfg.warmup_steps)
-            batch = next(batches)
-            kept = [u for u in batch if model.feasible(u.n_frames, u.transcript, u.lang)]
-            skipped += len(batch) - len(kept)
-            model.zero_grads()
-            if kept:
-                losses_since_eval.append(_backward_step(model, kept))
-                adam_step(model.flat_values, model.flat_grads, state, lr_t)
-            if step % tcfg.eval_interval == 0 or step == tcfg.steps:
-                dev = evaluate_model(model, dev_utts)
-                mean_loss = sum(losses_since_eval) / max(1, len(losses_since_eval))
-                losses_since_eval = []
-                last_eval = {
-                    "step": step,
-                    "loss": round(mean_loss, 6),
-                    "dev_per": round(dev["per"], 6),
-                    "dev_lid_acc": None if dev["lid_acc"] is None else round(dev["lid_acc"], 6),
-                }
-                metrics_fh.write(json.dumps(last_eval, sort_keys=True))
-                metrics_fh.write("\n")
-            if step % tcfg.checkpoint_interval == 0:
-                model.save(os.path.join(out_dir, f"ckpt_{step:06d}.sshr"))
+    for step in range(1, tcfg.steps + 1):
+        lr_t = tcfg.lr * min(1.0, step / tcfg.warmup_steps)
+        batch = next(batches)
+        kept = [u for u in batch if model.feasible(u.n_frames, u.transcript, u.lang)]
+        skipped += len(batch) - len(kept)
+        model.zero_grads()
+        if kept:
+            losses_since_eval.append(_backward_step(model, kept))
+            adam_step(model.flat_values, model.flat_grads, state, lr_t)
+        if step % tcfg.eval_interval == 0 or step == tcfg.steps:
+            dev = evaluate_model(model, dev_utts)
+            mean_loss = sum(losses_since_eval) / max(1, len(losses_since_eval))
+            losses_since_eval = []
+            last_eval = {
+                "step": step,
+                "loss": round(mean_loss, 6),
+                "dev_per": round(dev["per"], 6),
+                "dev_lid_acc": None if dev["lid_acc"] is None else round(dev["lid_acc"], 6),
+            }
+            metrics += json.dumps(last_eval, sort_keys=True) + "\n"
+            write_text(metrics_path, metrics)
+        if step % tcfg.checkpoint_interval == 0:
+            model.save(os.path.join(out_dir, f"ckpt_{step:06d}.sshr"))
     final_path = os.path.join(out_dir, "final.sshr")
     model.save(final_path)
     return {
@@ -192,7 +188,5 @@ def run_single_experiment(model_cfg: dict, train_cfg: dict, corpus_dir, run_dir)
         "lid_acc": test["lid_acc"],
         "skipped_utterances": summary["skipped_utterances"],
     }
-    with open(os.path.join(run_dir, "eval.json"), "w", encoding="utf-8") as fh:
-        json.dump(result, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(run_dir, "eval.json"), result)
     return result

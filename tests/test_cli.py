@@ -1,9 +1,12 @@
+import ast
 import json
 import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
+import sshr
 from conftest import tiny_model_config
 from sshr.cli import main
 from sshr.ctc import Vocabulary
@@ -193,6 +196,7 @@ class TestWorkflow:
         lines = (probe_out / "probe_report.csv").read_text().strip().splitlines()
         assert lines[0] == "layer,lid_acc,mi_nats"
         assert len(lines) == 3 + 2  # depth+1 rows plus header
+        assert not list(tmp_path.rglob("*.tmp"))  # every output was moved into place
 
     def test_probe_single_layer_mode(self, cli_corpus, tmp_path):
         corpus = cli_corpus / "corpus"
@@ -359,3 +363,17 @@ class TestVariantWithExplicitKeys:
                      "--config", cfg, "--ladder", ladder]) == 1
         assert "ladder.late.model" in capsys.readouterr().err
         assert not (out / "B0").exists()
+
+
+def test_only_the_files_helper_opens_for_writing():
+    """Every output goes through ``sshr.files``: no other module calls
+    ``open`` with a mode that is not read-only."""
+    writers = []
+    for path in sorted(Path(sshr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"):
+                continue
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and set(m.value) <= set("rbt")) for m in modes):
+                writers.append(path.name)
+    assert writers == ["files.py"]

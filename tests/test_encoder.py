@@ -4,10 +4,12 @@ import pytest
 from sshr import tensor as tz
 from sshr.encoder import (
     EncoderStack,
+    LayerSpec,
     StackConfig,
     Surgery,
     build_stack,
     cross_attention_layer,
+    init_layer_params,
     self_attention_layer,
 )
 from sshr.errors import ConfigError
@@ -18,9 +20,13 @@ def stack_cfg(depth=8, hidden=8, heads=2, ffn=16, surgery=Surgery()):
 
 
 def make_params(rng, hidden=8, ffn=16, posterior_dim=None):
-    from sshr.gradcheck import _layer_params_f64
-
-    return _layer_params_f64(rng, hidden, ffn, posterior_dim=posterior_dim)
+    """float64 layer parameters from the model's own initializer, moved off
+    its zeros and ones."""
+    kind = "cross_attention" if posterior_dim else "self_attention"
+    params = init_layer_params(LayerSpec(kind), stack_cfg(depth=1, hidden=hidden, ffn=ffn), posterior_dim or 0, 0, np.float64)
+    for _, t in params.items():
+        t.values += rng.uniform(-0.5, 0.5, t.values.shape)
+    return params
 
 
 class TestSelfAttentionLayer:

@@ -358,7 +358,7 @@ class TestCheckpoint:
     def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         import builtins
 
-        import sshr.model
+        import sshr.files
 
         cfg = tiny_model_config(depth=3, lid_extract_layer=1, lid_in_targets=True, cross_taps=[2], loss_weight=0.5)
         path = tmp_path / "m.sshr"
@@ -381,7 +381,7 @@ class TestCheckpoint:
                 self.fh.write(raw[: len(raw) // 2])
                 raise OSError("disk full")
 
-        monkeypatch.setattr(sshr.model, "open", lambda *a, **k: HalfWrite(builtins.open(*a, **k)), raising=False)
+        monkeypatch.setattr(sshr.files, "open", lambda *a, **k: HalfWrite(builtins.open(*a, **k)), raising=False)
         with pytest.raises(OSError, match="disk full"):
             SshrModel(tiny_model_config(depth=3, seed=1)).save(path)
         assert path.read_bytes() == before

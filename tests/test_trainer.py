@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import adam_per_parameter, tiny_model_config, tiny_vocab
+from sshr import gradcheck
 from sshr import tensor as tz
 from sshr.ctc import Vocabulary
 from sshr.datagen import default_corpus_spec, generate_corpus, load_split
@@ -177,6 +178,24 @@ class TestGradcheckSuite:
 
     def test_deterministic_under_seed(self):
         assert gradcheck_suite(seed=5) == gradcheck_suite(seed=5)
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_micro_model_passes_where_a_coarse_step_failed(self, seed):
+        # correct gradients; at step 1e-3 the central difference's own
+        # truncation error put this instance over the tolerance
+        instance = gradcheck.check_instance("micro_model_total_loss", seed)
+        assert check_scalar_graph(*instance) < REL_TOL
+        assert check_scalar_graph(*instance, step=1e-3) > REL_TOL
+
+    def test_removing_an_entry_moves_no_other_entry(self, monkeypatch):
+        full, checks = gradcheck_suite(seed=4)["checks"], gradcheck.CHECKS
+        for removed in ("linear", "self_attention_layer"):
+            table = {name: entry for name, entry in checks.items() if name != removed}
+            monkeypatch.setattr(gradcheck, "CHECKS", table)
+            rest = gradcheck_suite(seed=4)["checks"]
+            assert list(rest) == [name for name in full if name != removed]
+            for name, entry in rest.items():
+                assert entry["max_rel_err"] == full[name]["max_rel_err"], name  # bitwise
 
     def test_corrupted_gradient_rule_reported(self):
         # negative control: an op whose backward lies about its gradient
