@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import __version__
 from .config import Strict, overlay, strict_args, typed
 from .ctc import Vocabulary
-from .datagen import DEFAULT_COUNTS, default_corpus_spec, generate_corpus, load_corpus_spec, load_split
+from .datagen import DEFAULT_COUNTS, SPLITS, default_corpus_spec, generate_corpus, load_corpus_spec, load_split
 from .errors import ConfigError, CorruptDataError, SshrError
 from .evalkit import DEFAULT_LADDER, apply_variant, evaluate_model, run_ablation
 from .files import write_json
@@ -126,6 +126,10 @@ class _EvalFile(Strict):
     checkpoint: str
     corpus_dir: str
     split: str = "test"
+
+    def __post_init__(self):
+        if self.split not in SPLITS:
+            raise ConfigError(f"split must be one of {', '.join(SPLITS)}, got {self.split!r}")
 
 
 @dataclass(frozen=True)

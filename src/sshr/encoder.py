@@ -13,12 +13,18 @@ they differ only in where the attention query comes from:
 Stack surgery rewrites the final n positions of the base stack: delete
 them, replace them with copies of the n layers just below, or give them a
 fresh random initialization.
+
+A layer's parameters are declared once, in ``layer_layout``.
+``allocate_params`` builds a layout as views of one flat vector, and
+``init_params`` draws into them, each matrix from its own SHA-256-keyed
+stream; a layer is a dict of its tensors by layout name.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,64 +126,74 @@ def build_stack(cfg: StackConfig, cross_taps=()) -> list[LayerSpec]:
     return [LayerSpec(kind=k, source=s, init=i) for k, s, i in zip(kinds, sources, inits)]
 
 
-@dataclass
-class LayerParams:
-    """Tensors of one encoder layer; Q-path fields depend on the kind."""
-
-    ln1_gain: tz.Tensor
-    ln1_bias: tz.Tensor
-    wk: tz.Tensor
-    bk: tz.Tensor
-    wv: tz.Tensor
-    bv: tz.Tensor
-    wo: tz.Tensor
-    bo: tz.Tensor
-    ln2_gain: tz.Tensor
-    ln2_bias: tz.Tensor
-    w1: tz.Tensor
-    b1: tz.Tensor
-    w2: tz.Tensor
-    b2: tz.Tensor
-    wq: tz.Tensor | None = None
-    bq: tz.Tensor | None = None
-    wp1: tz.Tensor | None = None
-    bp1: tz.Tensor | None = None
-    wp2: tz.Tensor | None = None
-    bp2: tz.Tensor | None = None
-
-    def items(self):
-        for f in fields(self):
-            t = getattr(self, f.name)
-            if t is not None:
-                yield f.name, t
-
-
-def self_attention_layer(x: tz.Tensor, p: LayerParams, n_heads: int, lengths, query=None) -> tz.Tensor:
+def self_attention_layer(x: tz.Tensor, p: dict[str, tz.Tensor], n_heads: int, lengths, query=None) -> tz.Tensor:
     """Pre-norm multi-head attention + residual, then pre-norm FFN +
-    residual; length-preserving. ``lengths`` segments packed utterances
-    (attention stays within each; one utterance is ``(T,)``). The query is
-    ``query`` when given, else the layer's own projection of the normed
-    input; keys, values and the residual always come from ``x``."""
-    h = tz.layer_norm(x, p.ln1_gain, p.ln1_bias)
-    q = tz.linear(h, p.wq, p.bq) if query is None else query
-    k = tz.linear(h, p.wk, p.bk)
-    v = tz.linear(h, p.wv, p.bv)
+    residual; length-preserving. ``p`` maps ``layer_layout`` names to the
+    layer's tensors. ``lengths`` segments packed utterances (attention stays
+    within each; one utterance is ``(T,)``). The query is ``query`` when
+    given, else the layer's own projection of the normed input; keys,
+    values and the residual always come from ``x``."""
+    h = tz.layer_norm(x, p["ln1_gain"], p["ln1_bias"])
+    q = tz.linear(h, p["wq"], p["bq"]) if query is None else query
+    k = tz.linear(h, p["wk"], p["bk"])
+    v = tz.linear(h, p["wv"], p["bv"])
     a = tz.multi_head_attention(q, k, v, n_heads, lengths)
-    x = tz.add(x, tz.linear(a, p.wo, p.bo))
-    f = tz.layer_norm(x, p.ln2_gain, p.ln2_bias)
-    f = tz.linear(tz.gelu(tz.linear(f, p.w1, p.b1)), p.w2, p.b2)
+    x = tz.add(x, tz.linear(a, p["wo"], p["bo"]))
+    f = tz.layer_norm(x, p["ln2_gain"], p["ln2_bias"])
+    f = tz.linear(tz.gelu(tz.linear(f, p["w1"], p["b1"])), p["w2"], p["b2"])
     return tz.add(x, f)
 
 
-def cross_attention_layer(probs: tz.Tensor, x: tz.Tensor, p: LayerParams, n_heads: int, lengths) -> tz.Tensor:
+def cross_attention_layer(probs: tz.Tensor, x: tz.Tensor, p: dict[str, tz.Tensor], n_heads: int, lengths) -> tz.Tensor:
     """``self_attention_layer`` with the query Linear(Linear(posterior
     probs)) of an earlier layer; ``probs`` has one row per row of ``x``."""
     if probs.values.shape[0] != x.values.shape[0]:
         raise ConfigError(
             f"posterior length {probs.values.shape[0]} differs from input length {x.values.shape[0]}"
         )
-    q = tz.linear(tz.linear(probs, p.wp1, p.bp1), p.wp2, p.bp2)
+    q = tz.linear(tz.linear(probs, p["wp1"], p["bp1"]), p["wp2"], p["bp2"])
     return self_attention_layer(x, p, n_heads, lengths, query=q)
+
+
+def init_stream(spec: LayerSpec) -> str:
+    """A layer's init-stream prefix: ``layer.i`` for a base or ``("copy",
+    i)`` layer, so a copy draws layer i's bytes; ``reinit.m`` when fresh."""
+    kind, idx = spec.init
+    return f"reinit.{idx}" if kind == "fresh" else f"layer.{idx}"
+
+
+def layer_layout(spec: LayerSpec, cfg: StackConfig, posterior_dim: int) -> list[tuple[str, tuple[int, ...], str]]:
+    """``(name, shape, init)`` of one layer's parameters in checkpoint
+    order; ``init`` is ``"normal"``, ``"zeros"`` or ``"ones"``."""
+    h, f = cfg.hidden, cfg.ffn
+    layout = [
+        ("ln1_gain", (h,), "ones"), ("ln1_bias", (h,), "zeros"),
+        ("wk", (h, h), "normal"), ("bk", (h,), "zeros"),
+        ("wv", (h, h), "normal"), ("bv", (h,), "zeros"),
+        ("wo", (h, h), "normal"), ("bo", (h,), "zeros"),
+        ("ln2_gain", (h,), "ones"), ("ln2_bias", (h,), "zeros"),
+        ("w1", (h, f), "normal"), ("b1", (f,), "zeros"),
+        ("w2", (f, h), "normal"), ("b2", (h,), "zeros"),
+    ]
+    if spec.kind == "cross_attention":
+        return layout + [("wp1", (posterior_dim, h), "normal"), ("bp1", (h,), "zeros"),
+                         ("wp2", (h, h), "normal"), ("bp2", (h,), "zeros")]
+    return layout + [("wq", (h, h), "normal"), ("bq", (h,), "zeros")]
+
+
+def allocate_params(layout, dtype) -> tuple[dict[str, tz.Tensor], np.ndarray, np.ndarray]:
+    """Zeroed parameters for ``layout`` entries ``(name, shape, init,
+    stream key)``, and the two flat vectors holding every tensor's values
+    and grad as views, laid end to end in layout order."""
+    flat_values = np.zeros(sum(math.prod(shape) for _, shape, _, _ in layout), dtype=dtype)
+    flat_grads = np.zeros_like(flat_values)
+    params, start = {}, 0
+    for name, shape, _, _ in layout:
+        stop = start + math.prod(shape)
+        params[name] = tz.Tensor(flat_values[start:stop].reshape(shape), requires_grad=True, name=name)
+        params[name].grad = flat_grads[start:stop].reshape(shape)
+        start = stop
+    return params, flat_values, flat_grads
 
 
 def _stream_rng(seed: int, key: str) -> np.random.Generator:
@@ -186,70 +202,21 @@ def _stream_rng(seed: int, key: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *words]))
 
 
-def _init_weight(seed, key, rows, cols, dtype):
-    std = np.sqrt(2.0 / (rows + cols))
-    return _stream_rng(seed, key).normal(0.0, std, (rows, cols)).astype(dtype)
+def init_params(params: dict[str, tz.Tensor], layout, seed: int):
+    """Write the initial values of ``allocate_params``' zeroed tensors in
+    place: ones, or a Glorot normal matrix drawn from stream (seed, key).
+    The float64 draw rounds into a float32 view as ``astype`` would."""
+    for name, shape, init, key in layout:
+        if init == "ones":
+            params[name].values.fill(1)
+        elif init == "normal":
+            params[name].values[...] = _stream_rng(seed, key).normal(0.0, np.sqrt(2.0 / sum(shape)), shape)
 
 
-def init_layer_params(spec: LayerSpec, cfg: StackConfig, posterior_dim: int, seed: int, dtype=np.float32) -> LayerParams:
-    """Materialize one layer's parameters.
-
-    Parameters are drawn per (seed, stream, parameter-name), so a
-    ``("copy", i)`` layer reproduces layer i's bytes exactly and a
-    ``("fresh", m)`` layer draws from streams no base layer uses.
-    """
-    kind_key, idx = spec.init
-    stream = f"reinit.{idx}" if kind_key == "fresh" else f"layer.{idx}"
-    h, f = cfg.hidden, cfg.ffn
-
-    def w(name, rows, cols):
-        return tz.param(_init_weight(seed, f"{stream}.{name}", rows, cols, dtype), name=f"{stream}.{name}")
-
-    def zeros(name, n):
-        return tz.param(np.zeros(n, dtype=dtype), name=f"{stream}.{name}")
-
-    def ones(name, n):
-        return tz.param(np.ones(n, dtype=dtype), name=f"{stream}.{name}")
-
-    params = LayerParams(
-        ln1_gain=ones("ln1_gain", h), ln1_bias=zeros("ln1_bias", h),
-        wk=w("wk", h, h), bk=zeros("bk", h),
-        wv=w("wv", h, h), bv=zeros("bv", h),
-        wo=w("wo", h, h), bo=zeros("bo", h),
-        ln2_gain=ones("ln2_gain", h), ln2_bias=zeros("ln2_bias", h),
-        w1=w("w1", h, f), b1=zeros("b1", f),
-        w2=w("w2", f, h), b2=zeros("b2", h),
-    )
-    if spec.kind == "cross_attention":
-        params.wp1 = w("wp1", posterior_dim, h)
-        params.bp1 = zeros("bp1", h)
-        params.wp2 = w("wp2", h, h)
-        params.bp2 = zeros("bp2", h)
-    else:
-        params.wq = w("wq", h, h)
-        params.bq = zeros("bq", h)
+def init_layer_params(spec: LayerSpec, cfg: StackConfig, posterior_dim: int, seed: int, dtype=np.float32) -> dict[str, tz.Tensor]:
+    """One layer's tensors by ``layer_layout`` name, with the model's bytes."""
+    stream = init_stream(spec)
+    layout = [(name, shape, init, f"{stream}.{name}") for name, shape, init in layer_layout(spec, cfg, posterior_dim)]
+    params, _, _ = allocate_params(layout, dtype)
+    init_params(params, layout, seed)
     return params
-
-
-class EncoderStack:
-    """The post-surgery layer list plus materialized parameters.
-
-    Construction is a pure function of (config, taps, posterior width,
-    seed): identical inputs give identical parameter bytes.
-    """
-
-    def __init__(self, cfg: StackConfig, cross_taps, posterior_dim: int, seed: int, dtype=np.float32):
-        self.cfg = cfg
-        self.specs = build_stack(cfg, cross_taps)
-        self.layers = [
-            init_layer_params(spec, cfg, posterior_dim, seed, dtype) for spec in self.specs
-        ]
-
-    @property
-    def depth(self) -> int:
-        return len(self.specs)
-
-    def named_params(self):
-        for i, layer in enumerate(self.layers, start=1):
-            for name, t in layer.items():
-                yield f"enc.{i}.{name}", t

@@ -12,6 +12,11 @@ A batch runs as one packed forward: the utterances' frames are stacked
 into a (sum T) x F matrix, every row-wise op runs once over all rows, and
 attention and the splice act per utterance. A single utterance is the
 batch of one.
+
+Parameters are declared once, in ``SshrModel._allocate``: ``input.*``,
+each layer's ``enc.{i}.*``, ``head_norm.*``, ``head.*``, the order of the
+flat arena and of the checkpoint's blobs. Construction then draws the
+initialization into the arena; a checkpoint load reads blobs into it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 import io
 import json
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +31,8 @@ import numpy as np
 from . import tensor as tz
 from .config import Strict
 from .ctc import Vocabulary, ctc_head, ctc_loss, min_frames
-from .encoder import EncoderStack, StackConfig, cross_attention_layer, self_attention_layer
+from .encoder import (StackConfig, allocate_params, build_stack, cross_attention_layer, init_params, init_stream,
+                      layer_layout, self_attention_layer)
 from .errors import ConfigError, CorruptDataError, SshrError
 from .files import canonical_json, replacing
 
@@ -130,51 +135,38 @@ class SshrModel:
     """Encoder stack + shared CTC head behind a single forward interface."""
 
     def __init__(self, cfg: SshrConfig, dtype=np.float32):
-        self.cfg = cfg
-        self.dtype = dtype
-        vocab_size = cfg.vocab.size
-        self.stack = EncoderStack(cfg.stack, cfg.cross_taps, vocab_size, cfg.seed, dtype)
-        from .encoder import _init_weight  # same init streams as the stack
+        layout = self._allocate(cfg, dtype)
+        init_params(self.params, layout, cfg.seed)
 
-        h = cfg.stack.hidden
-        self.params: "OrderedDict[str, tz.Tensor]" = OrderedDict()
-        self.w_in = tz.param(_init_weight(cfg.seed, "input.w", cfg.feature_dim, h, dtype), "input.w")
-        self.b_in = tz.param(np.zeros(h, dtype=dtype), "input.b")
-        self.params["input.w"] = self.w_in
-        self.params["input.b"] = self.b_in
-        for name, t in self.stack.named_params():
-            self.params[name] = t
+    def _allocate(self, cfg: SshrConfig, dtype) -> list:
+        """Declare every parameter and build it zeroed in the arena; returns
+        the layout for ``init_params``, which ``load_bytes`` never calls."""
+        self.cfg, self.dtype = cfg, dtype
+        self.specs = build_stack(cfg.stack, cfg.cross_taps)
+        h, v = cfg.stack.hidden, cfg.vocab.size
+        layouts = [layer_layout(spec, cfg.stack, v) for spec in self.specs]
+        layout = [("input.w", (cfg.feature_dim, h), "normal", "input.w"), ("input.b", (h,), "zeros", "input.b")]
+        for i, (spec, layer) in enumerate(zip(self.specs, layouts), start=1):
+            layout += [(f"enc.{i}.{name}", shape, init, f"{init_stream(spec)}.{name}") for name, shape, init in layer]
         # shared normalization in front of the shared head, so tap and
         # final posteriors see the same input scale (pre-norm stacks leave
         # the residual stream unnormalized)
-        self.head_norm_gain = tz.param(np.ones(h, dtype=dtype), "head_norm.gain")
-        self.head_norm_bias = tz.param(np.zeros(h, dtype=dtype), "head_norm.bias")
-        self.params["head_norm.gain"] = self.head_norm_gain
-        self.params["head_norm.bias"] = self.head_norm_bias
-        self.w_head = tz.param(_init_weight(cfg.seed, "head.w", h, vocab_size, dtype), "head.w")
-        self.b_head = tz.param(np.zeros(vocab_size, dtype=dtype), "head.b")
-        self.params["head.w"] = self.w_head
-        self.params["head.b"] = self.b_head
-        # every parameter's values and grad are views of two flat vectors,
-        # in declaration order, so zeroing and the optimizer are
-        # whole-vector operations
-        self.flat_values = np.concatenate([t.values.ravel() for t in self.params.values()])
-        self.flat_grads = np.zeros_like(self.flat_values)
-        start = 0
-        for t in self.params.values():
-            stop, shape = start + t.values.size, t.values.shape
-            t.values = self.flat_values[start:stop].reshape(shape)
-            t.grad = self.flat_grads[start:stop].reshape(shape)
-            start = stop
+        layout += [("head_norm.gain", (h,), "ones", "head_norm.gain"), ("head_norm.bias", (h,), "zeros", "head_norm.bias"),
+                   ("head.w", (h, v), "normal", "head.w"), ("head.b", (v,), "zeros", "head.b")]
+        # one arena, so zeroing and the optimizer are whole-vector operations
+        self.params, self.flat_values, self.flat_grads = allocate_params(layout, dtype)
+        self.layers = [{name: self.params[f"enc.{i}.{name}"] for name, _, _ in layer}
+                       for i, layer in enumerate(layouts, start=1)]
         self._pos_cache: dict[int, np.ndarray] = {}
+        return layout
 
     def _head(self, x: tz.Tensor) -> tz.Tensor:
-        normed = tz.layer_norm(x, self.head_norm_gain, self.head_norm_bias)
-        return ctc_head(normed, self.w_head, self.b_head)
+        p = self.params
+        return ctc_head(tz.layer_norm(x, p["head_norm.gain"], p["head_norm.bias"]), p["head.w"], p["head.b"])
 
     @property
     def depth(self) -> int:
-        return self.stack.depth
+        return len(self.specs)
 
     def zero_grads(self):
         self.flat_grads.fill(0)
@@ -207,14 +199,14 @@ class SshrModel:
         lengths = (feats.shape[0],) if lengths is None else tuple(int(n) for n in lengths)
         if not lengths or min(lengths) < 1 or sum(lengths) != feats.shape[0]:
             raise ConfigError(f"utterance lengths {list(lengths)} must be positive and sum to {feats.shape[0]} frames")
-        x = tz.linear(tz.Tensor(feats), self.w_in, self.b_in)
+        x = tz.linear(tz.Tensor(feats), self.params["input.w"], self.params["input.b"])
         x = tz.add(x, tz.Tensor(self._positions(lengths)))
         acts = [x.values] if retain_activations else None
         lid_layer = self.cfg.lid_extract_layer
         taps = set(self.cfg.cross_taps)
         posteriors: dict[int, tz.Tensor] = {}
         heads = self.cfg.stack.heads
-        for pos, (spec, lp) in enumerate(zip(self.stack.specs, self.stack.layers), start=1):
+        for pos, (spec, lp) in enumerate(zip(self.specs, self.layers), start=1):
             try:
                 if spec.kind == "cross_attention":
                     x = cross_attention_layer(tz.exp(posteriors[spec.source]), x, lp, heads, lengths)
@@ -357,7 +349,8 @@ class SshrModel:
             cfg_dict = json.loads(read(f"<{cfg_len}s", "config")[0].decode("utf-8"))
         except ValueError as err:  # not UTF-8 or not JSON
             raise CorruptDataError(f"checkpoint config is not JSON: {err}") from None
-        model = cls(SshrConfig.from_dict(cfg_dict))
+        model = cls.__new__(cls)
+        model._allocate(SshrConfig.from_dict(cfg_dict), np.float32)
         (count,) = read("<I", "blob count")
         if count != len(model.params):
             raise ConfigError(f"checkpoint has {count} blobs, model expects {len(model.params)}")

@@ -78,11 +78,6 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype}, name={self.name!r})"
 
 
-def param(values, name):
-    """A leaf tensor that collects gradients (a trainable parameter)."""
-    return Tensor(values, requires_grad=True, name=name)
-
-
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 

@@ -15,7 +15,7 @@ from conftest import entropy_of_counts, rand_log_softmax
 from sshr import tensor as tz
 from sshr.ctc import Vocabulary, ctc_brute_force, ctc_loss, min_frames
 from sshr.datagen import default_corpus_spec, generate_corpus, load_split
-from sshr.encoder import EncoderStack, StackConfig, Surgery, build_stack
+from sshr.encoder import StackConfig, Surgery, build_stack, init_layer_params
 from sshr.evalkit import apply_variant, run_ablation
 from sshr.gradcheck import REL_TOL, gradcheck_suite
 from sshr.model import SshrModel, default_model_config, total_loss
@@ -166,10 +166,10 @@ def test_criterion_5_stack_surgery_structures():
     specs = build_stack(cfg)
     ok &= len(specs) == 24
     ok &= [s.init for s in specs[21:]] == [("copy", 19), ("copy", 20), ("copy", 21)]
-    stack = EncoderStack(cfg, (), posterior_dim=4, seed=3)
+    layers = [init_layer_params(spec, cfg, posterior_dim=4, seed=3) for spec in specs]
     for m in range(3):
-        src, dst = stack.layers[18 + m], stack.layers[21 + m]
-        for (_, a), (_, b) in zip(src.items(), dst.items()):
+        src, dst = layers[18 + m], layers[21 + m]
+        for a, b in zip(src.values(), dst.values()):
             ok &= a.values.tobytes() == b.values.tobytes()
     report(5, "delete_last(3) keeps 21 layers; replace_last_with_middle(3) copies bytes of 19-21", ok)
 

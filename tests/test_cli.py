@@ -69,6 +69,18 @@ class TestExitCodes:
         )
         assert main(["eval", "--seed", "0", "--out", str(tmp_path / "run"), "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("command", ["eval", "probe"])
+    def test_unknown_split_exits_1(self, command, cli_corpus, tmp_path, capsys):
+        path = tmp_path / "m.sshr"
+        SshrModel(tiny_model_config()).save(path)
+        cfg = write_json(
+            tmp_path / "eval.json",
+            {"checkpoint": str(path), "corpus_dir": str(cli_corpus / "corpus"), "split": "bogus"},
+        )
+        assert main([command, "--seed", "0", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config: split" in err and "'bogus'" in err and "Traceback" not in err
+
     def test_truncated_checkpoint_exits_1(self, cli_corpus, tmp_path, capsys):
         path = tmp_path / "cut.sshr"
         path.write_bytes(SshrModel(tiny_model_config()).save_bytes()[:-3])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import tiny_model_config
 from sshr import tensor as tz
 from sshr.encoder import (
-    EncoderStack,
     LayerSpec,
     StackConfig,
     Surgery,
@@ -13,6 +13,7 @@ from sshr.encoder import (
     self_attention_layer,
 )
 from sshr.errors import ConfigError
+from sshr.model import SshrModel
 
 
 def stack_cfg(depth=8, hidden=8, heads=2, ffn=16, surgery=Surgery()):
@@ -24,9 +25,14 @@ def make_params(rng, hidden=8, ffn=16, posterior_dim=None):
     its zeros and ones."""
     kind = "cross_attention" if posterior_dim else "self_attention"
     params = init_layer_params(LayerSpec(kind), stack_cfg(depth=1, hidden=hidden, ffn=ffn), posterior_dim or 0, 0, np.float64)
-    for _, t in params.items():
+    for t in params.values():
         t.values += rng.uniform(-0.5, 0.5, t.values.shape)
     return params
+
+
+def stack_params(cfg, cross_taps, posterior_dim, seed):
+    """Every post-surgery layer's tensors from ``init_layer_params``."""
+    return [init_layer_params(spec, cfg, posterior_dim, seed) for spec in build_stack(cfg, cross_taps)]
 
 
 class TestSelfAttentionLayer:
@@ -42,11 +48,11 @@ class TestSelfAttentionLayer:
         rng = np.random.default_rng(1)
         p = make_params(rng)
         x = tz.Tensor(rng.normal(size=(1, 8)))
-        h = tz.layer_norm(x, p.ln1_gain, p.ln1_bias).values
-        v = h @ p.wv.values + p.bv.values
-        attn_resid = x.values + (v @ p.wo.values + p.bo.values)
-        f_in = tz.layer_norm(tz.Tensor(attn_resid), p.ln2_gain, p.ln2_bias)
-        expected = attn_resid + (tz.gelu(tz.linear(f_in, p.w1, p.b1)).values @ p.w2.values + p.b2.values)
+        h = tz.layer_norm(x, p["ln1_gain"], p["ln1_bias"]).values
+        v = h @ p["wv"].values + p["bv"].values
+        attn_resid = x.values + (v @ p["wo"].values + p["bo"].values)
+        f_in = tz.layer_norm(tz.Tensor(attn_resid), p["ln2_gain"], p["ln2_bias"])
+        expected = attn_resid + (tz.gelu(tz.linear(f_in, p["w1"], p["b1"])).values @ p["w2"].values + p["b2"].values)
         out = self_attention_layer(x, p, 2, (1,))
         assert np.allclose(out.values, expected, atol=1e-12)
 
@@ -122,41 +128,47 @@ class TestBuildStack:
 class TestParameterMaterialization:
     def test_copy_layers_share_bytes_then_exist_separately(self):
         cfg = stack_cfg(depth=8, surgery=Surgery("replace_last_with_middle", 2))
-        stack = EncoderStack(cfg, (), posterior_dim=5, seed=7)
+        layers = stack_params(cfg, (), posterior_dim=5, seed=7)
         # positions 7,8 copy positions 5,6 (1-based): bitwise identical at build
         for m in range(2):
-            src = stack.layers[4 + m]
-            dst = stack.layers[6 + m]
-            for (_, a), (_, b) in zip(src.items(), dst.items()):
+            src = layers[4 + m]
+            dst = layers[6 + m]
+            for a, b in zip(src.values(), dst.values()):
                 assert np.array_equal(a.values, b.values)
                 assert a is not b
 
     def test_random_init_last_differs_from_base(self):
-        base = EncoderStack(stack_cfg(depth=4), (), 5, seed=7)
-        fresh = EncoderStack(stack_cfg(depth=4, surgery=Surgery("random_init_last", 1)), (), 5, seed=7)
-        assert not np.array_equal(base.layers[3].wq.values, fresh.layers[3].wq.values)
-        assert np.array_equal(base.layers[2].wq.values, fresh.layers[2].wq.values)
+        base = stack_params(stack_cfg(depth=4), (), 5, seed=7)
+        fresh = stack_params(stack_cfg(depth=4, surgery=Surgery("random_init_last", 1)), (), 5, seed=7)
+        assert not np.array_equal(base[3]["wq"].values, fresh[3]["wq"].values)
+        assert np.array_equal(base[2]["wq"].values, fresh[2]["wq"].values)
 
     def test_construction_is_pure_function_of_inputs(self):
-        a = EncoderStack(stack_cfg(depth=5), (3,), 6, seed=11)
-        b = EncoderStack(stack_cfg(depth=5), (3,), 6, seed=11)
-        for (name_a, ta), (name_b, tb) in zip(a.named_params(), b.named_params()):
+        def named(layers):
+            return [(f"enc.{i}.{name}", t) for i, layer in enumerate(layers, start=1) for name, t in layer.items()]
+
+        a = named(stack_params(stack_cfg(depth=5), (3,), 6, seed=11))
+        b = named(stack_params(stack_cfg(depth=5), (3,), 6, seed=11))
+        for (name_a, ta), (name_b, tb) in zip(a, b):
             assert name_a == name_b
             assert ta.values.tobytes() == tb.values.tobytes()
-        c = EncoderStack(stack_cfg(depth=5), (3,), 6, seed=12)
-        assert any(
-            ta.values.tobytes() != tc.values.tobytes()
-            for (_, ta), (_, tc) in zip(a.named_params(), c.named_params())
-        )
+        c = named(stack_params(stack_cfg(depth=5), (3,), 6, seed=12))
+        assert any(ta.values.tobytes() != tc.values.tobytes() for (_, ta), (_, tc) in zip(a, c))
+
+    def test_model_layers_are_init_layer_params_bytes(self):
+        cfg = tiny_model_config(depth=5, cross_taps=[3], loss_weight=0.5, seed=11)
+        model = SshrModel(cfg)
+        for layer, expected in zip(model.layers, stack_params(cfg.stack, cfg.cross_taps, cfg.vocab.size, seed=11)):
+            assert list(layer) == list(expected)
+            assert all(layer[name].values.tobytes() == t.values.tobytes() for name, t in expected.items())
 
     def test_cross_layer_params_match_kind(self):
-        cfg = stack_cfg(depth=5)
-        stack = EncoderStack(cfg, (3,), posterior_dim=6, seed=0)
-        cross = stack.layers[3]
-        assert cross.wp1 is not None and cross.wp1.values.shape == (6, 8)
-        assert cross.wq is None
-        plain = stack.layers[0]
-        assert plain.wq is not None and plain.wp1 is None
+        layers = stack_params(stack_cfg(depth=5), (3,), posterior_dim=6, seed=0)
+        cross = layers[3]
+        assert cross["wp1"].values.shape == (6, 8)
+        assert "wq" not in cross
+        plain = layers[0]
+        assert "wq" in plain and "wp1" not in plain
 
 
 class TestStackConfigValidation:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import struct
 from pathlib import Path
@@ -354,6 +355,32 @@ class TestCheckpoint:
         a = model.forward(feats).final.values
         b = clone.forward(feats).final.values
         assert np.array_equal(a, b)
+
+    # sha256 of the initial checkpoint of each variant's tiny config, seed 0
+    PINNED = {
+        "B0": "427e372aa2427edace8c4bac341d933ad7ed8f5d9ef904af31d7e0b26e87b6d8",
+        "C4": "ceb0ab51adf0d3dcd7eb8b3da58b53e9fed1dcffbe6acddf09cdbb3edd449812",
+        "E1": "8e3fba43d289ab7ddb6635c2d4eeaf85758a0af9a62cb5aef22e1bda548392fc",
+        "E2": "6fccc164966c46b9256ebc82fa65bb0d86b21a73bb38201c29837867fdfa3844",
+    }
+
+    @pytest.mark.parametrize("variant", sorted(PINNED))
+    def test_initial_checkpoint_bytes_pinned(self, variant):
+        cfg = SshrConfig.from_dict(apply_variant(tiny_model_config(depth=8).to_dict(), variant))
+        digest = hashlib.sha256(SshrModel(cfg).save_bytes()).hexdigest()
+        assert digest == self.PINNED[variant], (
+            f"{variant}: the initial checkpoint bytes moved. Either the parameter layout, the init streams "
+            "or the checkpoint format changed, or numpy's Generator.normal now draws different values"
+        )
+
+    def test_load_draws_no_random_numbers(self, monkeypatch):
+        raw = SshrModel(SshrConfig.from_dict(apply_variant(tiny_model_config(depth=8).to_dict(), "C4"))).save_bytes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert SshrModel.load_bytes(raw).save_bytes() == raw
 
     def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         import builtins

@@ -275,7 +275,7 @@ class TestProbePipeline:
         first = utts[0]
         import sshr.tensor as tz
 
-        expected = first.features @ model.w_in.values + model.b_in.values + tz.sinusoidal_positions(first.n_frames, model.cfg.stack.hidden)
+        expected = first.features @ model.params["input.w"].values + model.params["input.b"].values + tz.sinusoidal_positions(first.n_frames, model.cfg.stack.hidden)
         assert np.allclose(frames[0][: first.n_frames], expected, atol=1e-5)
         assert np.allclose(pooled[0][0], expected.mean(axis=0), atol=1e-5)
 
