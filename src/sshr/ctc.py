@@ -211,14 +211,10 @@ def ctc_brute_force(probs: np.ndarray, targets, guard: int = 10_000_000) -> floa
 
 def collapse_frames(frame_ids, blank: int = BLANK_ID) -> list[int]:
     """Collapse adjacent repeats, then delete blanks."""
-    out: list[int] = []
-    last = -1
-    for s in frame_ids:
-        s = int(s)
-        if s != last and s != blank:
-            out.append(s)
-        last = s
-    return out
+    ids = np.asarray(frame_ids)
+    keep = ids != blank
+    keep[1:] &= ids[1:] != ids[:-1]
+    return ids[keep].tolist()
 
 
 def ctc_greedy_decode(log_probs) -> list[int]:

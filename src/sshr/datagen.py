@@ -15,8 +15,19 @@ On-disk layout per corpus directory:
   utterance, concatenated; CRC32 footer (4 bytes LE) over the payload.
 * ``<split>.align`` - parallel little-endian uint16 phoneme ids per frame.
 
-Generation draws one PRNG stream per utterance from (seed, language,
-split, index), so parallel generation cannot change the output.
+Generation draws one PRNG stream per utterance,
+``SeedSequence([seed, 0xD0, language, split, index])``, so parallel
+generation cannot change the output. The corpus bytes are this draw order
+on that stream, and a test pins them:
+
+1. the phoneme count;
+2. one choice integer per phoneme, among the inventory's rows (after the
+   first, among the rows other than the previous one);
+3. then, per phoneme, its duration integer followed by its duration x F
+   block of ``normal`` noise (no block when sigma is 0).
+
+Scalar ``integers`` calls consume buffered 32-bit halves of PCG64 output
+and the normal blocks come between them, so the draws cannot be batched.
 """
 
 from __future__ import annotations
@@ -55,6 +66,11 @@ class LanguageSpec(Strict):
     def __post_init__(self):
         if not self.phoneme_ids:
             raise ConfigError(f"language {self.name!r} has an empty inventory")
+        if len(set(self.phoneme_ids)) != len(self.phoneme_ids):
+            raise ConfigError(f"language {self.name!r} lists a phoneme id twice: {list(self.phoneme_ids)}")
+        if len(self.phoneme_ids) == 1 and self.max_phonemes > 1:
+            raise ConfigError(f"language {self.name!r}: one phoneme cannot make utterances longer than one "
+                              "phoneme without adjacent repeats (set max_phonemes to 1)")
         n, f = len(self.phoneme_ids), self.prototypes.shape[-1]
         shapes = (self.prototypes.shape, self.rotation.shape, self.bias.shape)
         if f < 1 or shapes != ((n, f), (f, f), (f,)):
@@ -192,30 +208,26 @@ class Utterance:
         return self._features
 
 
-def _sample_utterance(spec: CorpusSpec, lang: LanguageSpec, rng: np.random.Generator):
+def _sample_utterance(spec: CorpusSpec, lang: LanguageSpec, ids: np.ndarray, realized: np.ndarray, rng):
+    """One utterance of ``lang``, whose inventory ``ids`` (uint16) and
+    realized prototypes the caller builds once per language."""
     n_ph = int(rng.integers(lang.min_phonemes, lang.max_phonemes + 1))
-    inventory = np.asarray(lang.phoneme_ids)
-    realized = lang.realized_prototypes()
-    transcript = []
-    prev = -1
-    for _ in range(n_ph):
-        # no adjacent repeats, so collapsing the alignment recovers the transcript
-        choices = inventory[inventory != prev] if prev >= 0 else inventory
-        pid = int(choices[rng.integers(len(choices))])
-        transcript.append(pid)
-        prev = pid
-    frames = []
-    alignment = []
-    for pid in transcript:
-        dur = int(rng.integers(lang.min_frames_per_phoneme, lang.max_frames_per_phoneme + 1))
-        proto = realized[lang.phoneme_ids.index(pid)]
-        block = np.tile(proto, (dur, 1))
+    rows = [int(rng.integers(len(ids)))]
+    for _ in range(n_ph - 1):
+        # no adjacent repeats, so collapsing the alignment recovers the
+        # transcript: draw among the other rows, in inventory order
+        j = int(rng.integers(len(ids) - 1))
+        rows.append(j + (j >= rows[-1]))
+    durs, noise = [], []
+    for _ in rows:
+        durs.append(int(rng.integers(lang.min_frames_per_phoneme, lang.max_frames_per_phoneme + 1)))
         if spec.noise_sigma > 0:
-            block = block + rng.normal(0.0, spec.noise_sigma, block.shape)
-        frames.append(block)
-        alignment.extend([pid] * dur)
-    features = np.concatenate(frames, axis=0).astype(np.float32)
-    return tuple(transcript), features, np.asarray(alignment, dtype=np.uint16)
+            noise.append(rng.normal(0.0, spec.noise_sigma, (durs[-1], realized.shape[1])))
+    frame_rows = np.repeat(rows, durs)
+    features = realized[frame_rows]
+    if noise:
+        features += np.concatenate(noise)
+    return tuple(ids[rows].tolist()), features.astype("<f4"), ids[frame_rows]
 
 
 def generate_corpus(spec: CorpusSpec, out_dir) -> dict:
@@ -223,6 +235,7 @@ def generate_corpus(spec: CorpusSpec, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "corpus.json"), spec.to_dict())
     summary = {"out_dir": str(out_dir), "splits": {}}
+    tables = [(np.asarray(lang.phoneme_ids, dtype="<u2"), lang.realized_prototypes()) for lang in spec.languages]
     for split_idx, split in enumerate(SPLITS):
         count = spec.counts.get(split, 0)
         if count == 0:
@@ -232,12 +245,12 @@ def generate_corpus(spec: CorpusSpec, out_dir) -> dict:
         feat_payload = bytearray()
         align_payload = bytearray()
         offset = 0
-        for lang_idx, lang in enumerate(spec.languages):
+        for lang_idx, (lang, (ids, realized)) in enumerate(zip(spec.languages, tables)):
             for k in range(count):
                 rng = np.random.default_rng(
                     np.random.SeedSequence([spec.seed, 0xD0, lang_idx, split_idx, k])
                 )
-                transcript, features, alignment = _sample_utterance(spec, lang, rng)
+                transcript, features, alignment = _sample_utterance(spec, lang, ids, realized, rng)
                 rows.append(
                     {
                         "id": f"{lang.name}-{split}-{k:04d}",
@@ -248,9 +261,9 @@ def generate_corpus(spec: CorpusSpec, out_dir) -> dict:
                         "offset_bytes": offset,
                     }
                 )
-                blob = features.astype("<f4").tobytes()
+                blob = features.tobytes()
                 feat_payload.extend(blob)
-                align_payload.extend(alignment.astype("<u2").tobytes())
+                align_payload.extend(alignment.tobytes())
                 offset += len(blob)
         with replacing(os.path.join(out_dir, feat_name), "wb") as fh:
             fh.write(feat_payload)
@@ -309,10 +322,10 @@ def load_manifest(manifest_path) -> list[Utterance]:
     corpus_dir = os.path.dirname(os.path.abspath(manifest_path))
     spec = load_corpus_spec(corpus_dir)
     symbol_to_id = {s: i for i, s in enumerate(spec.phoneme_symbols)}
+    languages = set(spec.language_names)
     f_dim = spec.feature_dim
     utterances: list[Utterance] = []
-    payload_sizes: dict[str, int] = {}
-    align_data: dict[str, bytes] = {}
+    shards: dict[str, tuple[str, int, bytes]] = {}  # feat_file -> (path, payload size, alignment shard)
     align_cursor: dict[str, int] = {}
     with open(manifest_path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -323,7 +336,7 @@ def load_manifest(manifest_path) -> list[Utterance]:
             try:
                 row = json.loads(line)
                 utt_id, lang, feat_file = row["id"], row["lang"], row["feat_file"]
-                feat_path = os.path.join(corpus_dir, feat_file)
+                feat_path = shards[feat_file][0] if feat_file in shards else os.path.join(corpus_dir, feat_file)
                 n_frames, offset = int(row["n_frames"]), int(row["offset_bytes"])
                 symbols = row["transcript"].split()
             except (ValueError, KeyError, TypeError, AttributeError) as err:
@@ -332,23 +345,22 @@ def load_manifest(manifest_path) -> list[Utterance]:
                 raise CorruptDataError(f"{where}: n_frames {n_frames} is not positive")
             if not symbols:
                 raise CorruptDataError(f"{where}: empty transcript")
-            if lang not in spec.language_names:
+            if lang not in languages:
                 raise CorruptDataError(f"{where}: unknown language {lang!r}")
-            unknown = [s for s in symbols if s not in symbol_to_id]
-            if unknown:
-                raise CorruptDataError(f"{where}: unknown phoneme symbol {unknown[0]!r}")
-            transcript = tuple(symbol_to_id[s] for s in symbols)
-            if feat_file not in payload_sizes:
-                payload_sizes[feat_file] = _verify_crc(feat_path)
-                align_path = os.path.splitext(feat_path)[0] + ".align"
-                with open(align_path, "rb") as afh:
-                    align_data[feat_file] = afh.read()
+            transcript = tuple([symbol_to_id.get(s, -1) for s in symbols])
+            if -1 in transcript:
+                raise CorruptDataError(f"{where}: unknown phoneme symbol {symbols[transcript.index(-1)]!r}")
+            if feat_file not in shards:
+                payload_size = _verify_crc(feat_path)
+                with open(os.path.splitext(feat_path)[0] + ".align", "rb") as afh:
+                    shards[feat_file] = (feat_path, payload_size, afh.read())
                 align_cursor[feat_file] = 0
+            _, payload_size, align_data = shards[feat_file]
             end = offset + n_frames * f_dim * 4
-            if offset < 0 or end > payload_sizes[feat_file]:
+            if offset < 0 or end > payload_size:
                 raise CorruptDataError(f"utterance {utt_id}: byte range outside shard payload")
             cursor = align_cursor[feat_file]
-            align_bytes = align_data[feat_file][cursor : cursor + n_frames * 2]
+            align_bytes = align_data[cursor : cursor + n_frames * 2]
             if len(align_bytes) != n_frames * 2:
                 raise CorruptDataError(f"utterance {utt_id}: alignment shard truncated")
             align_cursor[feat_file] = cursor + n_frames * 2
@@ -367,9 +379,9 @@ def load_manifest(manifest_path) -> list[Utterance]:
                     feature_dim=f_dim,
                 )
             )
-    for feat_file, data in align_data.items():
+    for feat_file, (feat_path, _, data) in shards.items():
         if align_cursor[feat_file] != len(data):
-            align_path = os.path.splitext(os.path.join(corpus_dir, feat_file))[0] + ".align"
+            align_path = os.path.splitext(feat_path)[0] + ".align"
             raise CorruptDataError(
                 f"{align_path}: {len(data)} bytes, but the manifest's utterances cover {align_cursor[feat_file]}"
             )

@@ -50,33 +50,43 @@ def edit_distance(a, b) -> int:
     return prev[-1]
 
 
+def error_counts(refs, hyps, groups, vocab: Vocabulary | None = None) -> dict:
+    """Group -> [edit distance, reference length], each summed over the
+    group's utterances, groups in sorted order. Each utterance is scored
+    once, after stripping language-id tokens from both sides when a
+    vocabulary is given."""
+    refs, hyps, groups = list(refs), list(hyps), list(groups)
+    if not len(refs) == len(hyps) == len(groups):
+        raise ConfigError(f"{len(refs)} references vs {len(hyps)} hypotheses vs {len(groups)} groups")
+    counts = {group: [0, 0] for group in sorted(set(groups))}
+    for ref, hyp, group in zip(refs, hyps, groups):
+        if vocab is not None:
+            ref, hyp = vocab.strip_lid(ref), vocab.strip_lid(hyp)
+        counts[group][0] += edit_distance(ref, hyp)
+        counts[group][1] += len(ref)
+    return counts
+
+
+def pooled_rate(counts: list) -> float:
+    """Total edits over total reference length of a list of
+    ``error_counts`` values."""
+    total_edits, total_ref = sum(e for e, _ in counts), sum(n for _, n in counts)
+    if total_ref == 0:
+        raise ConfigError("empty reference corpus")
+    return total_edits / total_ref
+
+
 def error_rate(refs, hyps, vocab: Vocabulary | None = None) -> float:
     """Pooled token error rate; strips language-id tokens from both sides
     when a vocabulary is given."""
-    refs, hyps = list(refs), list(hyps)
-    if len(refs) != len(hyps):
-        raise ConfigError(f"{len(refs)} references vs {len(hyps)} hypotheses")
-    if vocab is not None:
-        refs = [vocab.strip_lid(r) for r in refs]
-        hyps = [vocab.strip_lid(h) for h in hyps]
-    total_ref = sum(len(r) for r in refs)
-    if total_ref == 0:
-        raise ConfigError("empty reference corpus")
-    total_edits = sum(edit_distance(r, h) for r, h in zip(refs, hyps))
-    return total_edits / total_ref
+    refs = list(refs)
+    return pooled_rate(list(error_counts(refs, hyps, [0] * len(refs), vocab).values()))
 
 
 def error_rate_by_group(refs, hyps, groups, vocab: Vocabulary | None = None) -> dict:
     """Pooled rate within each group (e.g. language); the macro average over
     groups is available next to the pooled headline number."""
-    refs, hyps, groups = list(refs), list(hyps), list(groups)
-    if not len(refs) == len(hyps) == len(groups):
-        raise ConfigError("refs/hyps/groups length mismatch")
-    out = {}
-    for group in sorted(set(groups)):
-        idx = [i for i, g in enumerate(groups) if g == group]
-        out[group] = error_rate([refs[i] for i in idx], [hyps[i] for i in idx], vocab)
-    return out
+    return {group: pooled_rate([c]) for group, c in error_counts(refs, hyps, groups, vocab).items()}
 
 
 def lid_accuracy(decoded, languages, vocab: Vocabulary) -> float:
@@ -104,11 +114,11 @@ def evaluate_model(model, utterances) -> dict:
         refs.append([vocab.phoneme_token(p) for p in utt.transcript])
         hyps.append(model.decode(utt.features))
         langs.append(utt.lang)
-    per = error_rate(refs, hyps, vocab)
-    by_lang = error_rate_by_group(refs, hyps, langs, vocab)
+    counts = error_counts(refs, hyps, langs, vocab)
+    by_lang = {lang: pooled_rate([c]) for lang, c in counts.items()}
     lid = lid_accuracy(hyps, langs, vocab) if model.cfg.lid_in_targets else None
     return {
-        "per": per,
+        "per": pooled_rate(list(counts.values())),
         "per_by_language": by_lang,
         "macro_per": sum(by_lang.values()) / len(by_lang),
         "lid_acc": lid,

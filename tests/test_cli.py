@@ -51,6 +51,12 @@ class TestExitCodes:
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["train", "--out", str(tmp_path), "--config", str(tmp_path / "nope.json")]) == 1
 
+    def test_one_phoneme_inventory_exits_1_naming_the_language(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {"phonemes_per_language": 1, "shared_phonemes": 0})
+        assert main(["datagen", "--out", str(tmp_path / "corpus"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "'L0'" in err and "one phoneme" in err and "Traceback" not in err
+
     def test_unknown_config_key_exits_1(self, cli_corpus, tmp_path, capsys):
         cfg = small_train_config(cli_corpus / "corpus")
         cfg["train"]["momentum"] = 0.9
@@ -328,7 +334,9 @@ class TestMalformedConfigs:
         (lambda c: [row.append(0.0) for row in c["languages"][1]["prototypes"]], "prototypes"),
         (lambda c: c["languages"][0].update(rotation=c["languages"][0]["rotation"][0]), "rotation"),
         (lambda c: c.pop("feature_dim"), "corpus.feature_dim"),
-    ], ids=["short-bias", "wide-prototypes", "flat-rotation", "no-feature_dim"])
+        (lambda c: c["languages"][2].update(phoneme_ids=[0, 0] + c["languages"][2]["phoneme_ids"][2:]),
+         "'L2' lists a phoneme id twice"),
+    ], ids=["short-bias", "wide-prototypes", "flat-rotation", "no-feature_dim", "duplicate-phoneme-id"])
     def test_malformed_corpus_json_exits_1(self, cli_corpus, tmp_path, capsys, mutate, named):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

@@ -203,10 +203,20 @@ class TestGreedyDecode:
 
     @pytest.mark.parametrize("trial", range(10))
     def test_matches_groupby_reference(self, trial):
+        # argmax rows (int64, blank 0), corpus alignments (uint16, no
+        # blank) and plain lists, empty and length-1 ones included
         rng = np.random.default_rng(300 + trial)
-        frames = rng.integers(0, 4, size=20)
-        reference = [k for k, _ in itertools.groupby(frames.tolist()) if k != 0]
-        assert collapse_frames(frames) == reference
+        frames = rng.integers(0, 4, size=(0, 1, 2, 3, 8, 20, 20, 33, 50, 64)[trial])
+        runs = [k for k, _ in itertools.groupby(frames.tolist())]
+        reference = [k for k in runs if k != 0]
+        for collapsed, expected in (
+            (collapse_frames(frames), reference),
+            (collapse_frames(frames.tolist()), reference),
+            (collapse_frames(frames.astype(np.uint16), blank=-1), runs),
+            (collapse_frames(frames.astype(np.uint16).tolist(), blank=-1), runs),
+        ):
+            assert collapsed == expected
+            assert all(type(k) is int for k in collapsed)
 
     def test_decode_never_emits_blank(self):
         rng = np.random.default_rng(23)

@@ -1,7 +1,12 @@
+import hashlib
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_transcribe
 from sshr.ctc import collapse_frames
@@ -13,7 +18,55 @@ from sshr.datagen import (
     load_manifest,
     load_split,
 )
-from sshr.errors import ConfigError, CorruptDataError
+from sshr.errors import ConfigError, CorruptDataError, SshrError
+
+
+# default_corpus_spec keywords -> sha256 of every file generate_corpus
+# writes; the sampler may get faster, but these bytes must not move
+PINNED_SPECS = {
+    "default-seed11": (dict(seed=11), {
+        "corpus.json": "bad5e7da18dda20570cc2e66ff63c32f278b83caf27e062bf5eb06d8053cfc69",
+        "dev.align": "fd95c1257e8392a7a40ee3d2e6ed56a4023b49369a5a897f69bedb43f1e8197a",
+        "dev.feats": "c6771ed66648275bd67329439dccf9963e244f4fac1246ceecf505a446492c1a",
+        "manifest.dev.jsonl": "0896a84c4016cde89de0dffa2a0dda7eb459fc1c9cac9887a316050bb8131fc4",
+        "manifest.test.jsonl": "9e0c04cb407d87f37150877537204ca85eecbdd61e21b3d50cbb263e8099504e",
+        "manifest.train.jsonl": "0f4bd19d13e6995627e2b133dc285cbd63072a41f7dfe64216cca02f9ed128ce",
+        "test.align": "7ee780ecef1babbac2012ba95202366bc8a905ca44d455cad2dc64a667ddb08b",
+        "test.feats": "10681f59c0257887bf477956683e18e4deed6aab6c76ccbb972c8c8a5a30e21b",
+        "train.align": "a472981033e2e05cfb3bd10d1aef10cf015fafb8471fcd7eadd1cb66a1132d0f",
+        "train.feats": "5383b38c9fd89ddfec4fc1a3605ae9fe3968732e511cbe3d532d6debfb2a33e3",
+    }),
+    "sigma0-seed3": (dict(seed=3, noise_sigma=0.0, counts={"train": 8, "dev": 2, "test": 2}), {
+        "corpus.json": "b3c769637ac1109e0cf9db9e6f53a867841969802ae8603dc53547a36877f4a0",
+        "dev.align": "5570c265cf6a772ec2d7dc2226396073bcc0c9f12c01fa98c8ad5d67d1d89a2c",
+        "dev.feats": "0bd2ef572b4fd6f82454aad30540a277254105a145be6788eb39a3724ae782b4",
+        "manifest.dev.jsonl": "8cf23915e9a1d1a885729b09a9e24a674b340f9e501c97aff230de8a9496f735",
+        "manifest.test.jsonl": "184c686f273e68dbf32accb73927d837405ac3808c8c5d3ae96a99a830d4b83b",
+        "manifest.train.jsonl": "6e7dd2763d93b597ada4b3e3af26700acc6c56b919ad9bce58acd858e34e6a89",
+        "test.align": "9a98aa244955c05ab9e09dee393a3c53fa389e0592cda4d3fb73df0d3993d0a7",
+        "test.feats": "6ffd0dbf095d326321e56633bdc052d266cfc18d345f06f2333031acbba4d82e",
+        "train.align": "97c50e5f34f747fe8e48c71a77af4cd1d33a7b0fe3c0466f9b1f679da097de29",
+        "train.feats": "1ca1778f8b93d714de0374e70ec126513d43f26b5d6980ca6c61d6c26ae3b0cf",
+    }),
+    "two-phonemes-long": (dict(seed=5, n_languages=2, phonemes_per_language=2, shared_phonemes=1, feature_dim=3,
+                                   min_phonemes=1, max_phonemes=30, min_frames_per_phoneme=1, max_frames_per_phoneme=9,
+                                   counts={"train": 12, "test": 4}), {
+        "corpus.json": "185cbc81c5b038dd41ee59551738ad82e49c938c66075c3c003739a04fa157bd",
+        "manifest.test.jsonl": "9a5355ce5165da08ec32d6dc78141551363bfa41d2bb1f3c0155440923b08f26",
+        "manifest.train.jsonl": "e2f83334e2a3c075fca2ff8116fd7544441f4ff548e9daf2018af258df30ec49",
+        "test.align": "3e4f2f5d43a0ccd2dcf1e5dd0c97f7700e20e2d7a42e3a0dc8baabdd2121b76b",
+        "test.feats": "bfc6b1e5aad355f2e9206ca7642690ff9bd4d5d585d126078071125a1afd4227",
+        "train.align": "0ad5c9f4a524c8483c2d8500cb50291b52e1b2c7fe065efa97a6c2e1a588a366",
+        "train.feats": "4768c8ff1bc31fbd2115913e5ef4df0b1f831a6b23a53a9c8fc16d7a68361ddf",
+    }),
+    "one-language-one-phoneme": (dict(seed=1, n_languages=1, phonemes_per_language=1, shared_phonemes=1,
+                                          min_phonemes=1, max_phonemes=1, counts={"train": 3}), {
+        "corpus.json": "3cf0ee3bb814aedce70d957622845043fd47285cc39bdeb23be0fcdef8bb003d",
+        "manifest.train.jsonl": "10ffa2bb8e62e7b813156872877604adf0aa70b9c35258fd498983ffbc958a39",
+        "train.align": "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
+        "train.feats": "81012d577e74d6a3bdd19149deeb7312669fde3c556e9ae8ef2875f8dfe81e09",
+    }),
+}
 
 
 def small_spec(seed=50, sigma=0.3, counts=None):
@@ -21,6 +74,16 @@ def small_spec(seed=50, sigma=0.3, counts=None):
 
 
 class TestGeneration:
+    @pytest.mark.parametrize("name", list(PINNED_SPECS))
+    def test_corpus_bytes_pinned(self, tmp_path, name):
+        kwargs, pinned = PINNED_SPECS[name]
+        generate_corpus(default_corpus_spec(**kwargs), tmp_path)
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+        assert written == pinned, (
+            f"corpus bytes of {name!r} changed; every sampler change must keep the draw order and the "
+            "arithmetic, and a numpy release that changes Generator streams would trip this too"
+        )
+
     def test_noiseless_single_language_single_phoneme(self, tmp_path):
         spec = default_corpus_spec(
             seed=1, n_languages=1, phonemes_per_language=1, shared_phonemes=1,
@@ -188,3 +251,51 @@ class TestSpecValidation:
         raw["surprise"] = True
         with pytest.raises(ConfigError):
             CorpusSpec.from_dict(raw)
+
+
+LENGTH_BOUNDS = ("min_phonemes", "max_phonemes", "min_frames_per_phoneme", "max_frames_per_phoneme")
+
+
+def filled(shape) -> list:
+    return np.random.default_rng(len(shape)).normal(size=shape).tolist()
+
+
+@st.composite
+def mutated_language(draw, lang: dict, n_symbols: int) -> dict:
+    """``lang`` (a corpus.json language object) with its inventory, ids,
+    length and duration bounds or array shapes changed."""
+    lang = dict(lang)
+    if draw(st.booleans()):  # inventory size, duplicate and out-of-range ids
+        lang["phoneme_ids"] = draw(st.lists(st.integers(-1, n_symbols), max_size=4))
+        rows = len(lang["phoneme_ids"]) if draw(st.booleans()) else draw(st.integers(0, 7))
+        lang["prototypes"] = filled((rows, len(lang["bias"])))
+    for key in draw(st.sets(st.sampled_from(LENGTH_BOUNDS))):
+        lang[key] = draw(st.integers(-1, 9))
+    for key in draw(st.sets(st.sampled_from(("prototypes", "rotation", "bias")))):
+        lang[key] = filled(tuple(draw(st.lists(st.integers(0, 5), max_size=3))))
+    return lang
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz_corpus")
+    generate_corpus(default_corpus_spec(seed=7, n_languages=2, feature_dim=4, counts={"train": 2}), out)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_language_fields_raise_only_sshr_errors(fuzz_corpus, data):
+    raw = json.loads((fuzz_corpus / "corpus.json").read_text())
+    li = data.draw(st.integers(0, len(raw["languages"]) - 1))
+    raw["languages"][li] = data.draw(mutated_language(raw["languages"][li], len(raw["phoneme_symbols"])))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        shutil.copytree(fuzz_corpus, corpus)
+        (corpus / "corpus.json").write_text(json.dumps(raw))
+        for attempt in (lambda: load_split(corpus, "train"),
+                        lambda: generate_corpus(load_corpus_spec(corpus), Path(tmp) / "again")):
+            try:
+                attempt()
+            except SshrError:
+                pass

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import sshr.evalkit
 from conftest import tiny_vocab
 from sshr.errors import ConfigError
 from sshr.evalkit import (
@@ -11,6 +14,7 @@ from sshr.evalkit import (
     edit_distance,
     error_rate,
     error_rate_by_group,
+    evaluate_model,
     lid_accuracy,
     primary_reference,
     run_ablation,
@@ -85,6 +89,40 @@ class TestErrorRate:
         assert by_group == {"a": 0.5, "b": 0.0}
         assert error_rate(refs, hyps) == 1 / 6  # pooled headline differs from macro
         assert sum(by_group.values()) / 2 == 0.25
+
+
+class TestEvaluateModel:
+    def test_scores_each_utterance_once(self, monkeypatch):
+        vocab = tiny_vocab(n_phonemes=4, n_langs=3)
+        rng = np.random.default_rng(5)
+        utts = [
+            SimpleNamespace(transcript=tuple(rng.integers(0, 4, size=rng.integers(1, 7)).tolist()),
+                            lang=f"L{rng.integers(0, 3)}", features=i)
+            for i in range(12)
+        ]
+        hyps = [[vocab.lid_token(u.lang)] * (i % 2) + rng.integers(1, 7, size=rng.integers(0, 7)).tolist()
+                for i, u in enumerate(utts)]
+        model = SimpleNamespace(cfg=SimpleNamespace(vocab=vocab, lid_in_targets=True), decode=hyps.__getitem__)
+        scored = []
+        monkeypatch.setattr(sshr.evalkit, "edit_distance", lambda a, b: scored.append(1) or edit_distance(a, b))
+        scores = evaluate_model(model, utts)
+        assert len(scored) == len(utts)
+        monkeypatch.undo()
+        refs = [[vocab.phoneme_token(p) for p in u.transcript] for u in utts]
+        langs = [u.lang for u in utts]
+        by_lang = error_rate_by_group(refs, hyps, langs, vocab)
+        assert scores == {
+            "per": error_rate(refs, hyps, vocab),
+            "per_by_language": by_lang,
+            "macro_per": sum(by_lang.values()) / len(by_lang),
+            "lid_acc": lid_accuracy(hyps, langs, vocab),
+        }
+        assert list(scores["per_by_language"]) == sorted(set(langs))
+
+    def test_no_utterances(self):
+        model = SimpleNamespace(cfg=SimpleNamespace(vocab=tiny_vocab(), lid_in_targets=False), decode=None)
+        with pytest.raises(ConfigError, match="empty reference corpus"):
+            evaluate_model(model, [])
 
 
 class TestLidAccuracy:
