@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import __version__
 from .config import Strict, overlay, strict_args, typed
@@ -232,12 +233,24 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_scored(cfg: _EvalFile):
+    """The checkpoint and the split it scores. Token ids index the
+    checkpoint's phonemes, so the corpus must list the same ones."""
+    model = SshrModel.load(cfg.checkpoint)
+    utts = load_split(cfg.corpus_dir, cfg.split)
+    pairs = zip_longest(model.cfg.vocab.phonemes, load_corpus_spec(cfg.corpus_dir).phoneme_symbols)
+    for i, (ours, theirs) in enumerate(pairs):
+        if ours != theirs:
+            raise ConfigError(f"{cfg.checkpoint}: phoneme {i} is {ours!r} in the checkpoint but {theirs!r} in "
+                              f"{cfg.corpus_dir}; a checkpoint scores only a corpus with its phoneme inventory")
+    return model, utts
+
+
 def cmd_eval(args) -> int:
     run = _Run("eval", args.seed, args.out)
     cfg = _EvalFile.from_dict(_load_json(args.config), "config")
     run.resolved_config = cfg.to_dict()
-    model = SshrModel.load(cfg.checkpoint)
-    utts = load_split(cfg.corpus_dir, cfg.split)
+    model, utts = _load_scored(cfg)
     scores = evaluate_model(model, utts)
     payload = {"split": cfg.split, "n_utterances": len(utts), **scores}
     out_path = os.path.join(args.out, "eval.json")
@@ -253,8 +266,7 @@ def cmd_probe(args) -> int:
         raise ConfigError("--k must be >= 0")
     run = _Run("probe", args.seed, args.out)
     cfg = _EvalFile.from_dict(_load_json(args.config), "config")
-    model = SshrModel.load(cfg.checkpoint)
-    utts = load_split(cfg.corpus_dir, cfg.split)
+    model, utts = _load_scored(cfg)
     k = args.k if args.k > 0 else 4 * len(model.cfg.vocab.phonemes)
     run.resolved_config = {**cfg.to_dict(), "k": k, "layer": args.layer}
     report = probe_all_layers(model, utts, k=k, seed=args.seed, checkpoint_id=cfg.checkpoint,
@@ -304,7 +316,7 @@ def cmd_ablate(args) -> int:
         "seeds": seeds,
         "jobs": args.jobs,
     }
-    results = run_ablation(ladder, seeds, corpus_dir, args.out, base, train_cfg, jobs=args.jobs)
+    results = run_ablation(ladder, seeds, corpus_dir, args.out, train_cfg, jobs=args.jobs)
     run.record(os.path.join(args.out, "ablation.csv"))
     run.record(os.path.join(args.out, "summary.json"))
     run.finish()

@@ -12,7 +12,7 @@ On-disk layout per corpus directory:
 * ``manifest.<split>.jsonl`` - one object per utterance with keys
   id/lang/n_frames/transcript/feat_file/offset_bytes.
 * ``<split>.feats`` - raw little-endian float32, row-major T x F per
-  utterance, concatenated; CRC32 footer (4 bytes LE) over the payload.
+  utterance, in manifest order; CRC32 footer (4 bytes LE) over the payload.
 * ``<split>.align`` - parallel little-endian uint16 phoneme ids per frame.
 
 Generation draws one PRNG stream per utterance,
@@ -312,12 +312,13 @@ def load_corpus_spec(corpus_dir) -> CorpusSpec:
 def load_manifest(manifest_path) -> list[Utterance]:
     """Load one split; features stay on disk until accessed.
 
-    Verifies the feature shard checksum, per-utterance byte ranges, and
-    alignment consistency, and that the manifest covers each alignment
-    shard exactly; corrupt data names the offending utterance or shard, and
-    a row that is not a manifest object of known languages and phoneme
-    symbols, with frames and a nonempty transcript, names its manifest
-    line.
+    The rows walk one shard pair, the first row's ``feat_file`` and its
+    ``.align``, in order from byte 0 with one frame cursor, and every byte
+    of both shards belongs to exactly one row. Verifies the feature shard
+    checksum and that each alignment collapses to its transcript. Corrupt
+    data names the offending utterance or shard, and a row that is not a
+    manifest object of known languages and phoneme symbols, with frames
+    and a nonempty transcript, on the split's shard, names its line.
     """
     corpus_dir = os.path.dirname(os.path.abspath(manifest_path))
     spec = load_corpus_spec(corpus_dir)
@@ -325,8 +326,8 @@ def load_manifest(manifest_path) -> list[Utterance]:
     languages = set(spec.language_names)
     f_dim = spec.feature_dim
     utterances: list[Utterance] = []
-    shards: dict[str, tuple[str, int, bytes]] = {}  # feat_file -> (path, payload size, alignment shard)
-    align_cursor: dict[str, int] = {}
+    shard = None  # the first row's feat_file, which every row must name
+    frames = 0  # frames of the shard pair the rows so far cover
     with open(manifest_path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -336,7 +337,8 @@ def load_manifest(manifest_path) -> list[Utterance]:
             try:
                 row = json.loads(line)
                 utt_id, lang, feat_file = row["id"], row["lang"], row["feat_file"]
-                feat_path = shards[feat_file][0] if feat_file in shards else os.path.join(corpus_dir, feat_file)
+                if shard is None or feat_file != shard:  # the first row, or a row on another shard
+                    feat_path = os.path.join(corpus_dir, feat_file)
                 n_frames, offset = int(row["n_frames"]), int(row["offset_bytes"])
                 symbols = row["transcript"].split()
             except (ValueError, KeyError, TypeError, AttributeError) as err:
@@ -350,20 +352,22 @@ def load_manifest(manifest_path) -> list[Utterance]:
             transcript = tuple([symbol_to_id.get(s, -1) for s in symbols])
             if -1 in transcript:
                 raise CorruptDataError(f"{where}: unknown phoneme symbol {symbols[transcript.index(-1)]!r}")
-            if feat_file not in shards:
-                payload_size = _verify_crc(feat_path)
-                with open(os.path.splitext(feat_path)[0] + ".align", "rb") as afh:
-                    shards[feat_file] = (feat_path, payload_size, afh.read())
-                align_cursor[feat_file] = 0
-            _, payload_size, align_data = shards[feat_file]
-            end = offset + n_frames * f_dim * 4
-            if offset < 0 or end > payload_size:
+            if shard is None:
+                shard, payload_size = feat_file, _verify_crc(feat_path)
+                align_path = os.path.splitext(feat_path)[0] + ".align"
+                with open(align_path, "rb") as afh:
+                    align_data = afh.read()
+            elif feat_file != shard:
+                raise CorruptDataError(f"{where}: feat_file {feat_file!r} is not the split's shard {shard!r}")
+            start = frames * f_dim * 4  # where the rows above end
+            if offset != start:
+                raise CorruptDataError(f"utterance {utt_id}: offset_bytes {offset}, but the rows above end at byte {start}")
+            if start + n_frames * f_dim * 4 > payload_size:
                 raise CorruptDataError(f"utterance {utt_id}: byte range outside shard payload")
-            cursor = align_cursor[feat_file]
-            align_bytes = align_data[cursor : cursor + n_frames * 2]
+            align_bytes = align_data[2 * frames : 2 * (frames + n_frames)]
             if len(align_bytes) != n_frames * 2:
                 raise CorruptDataError(f"utterance {utt_id}: alignment shard truncated")
-            align_cursor[feat_file] = cursor + n_frames * 2
+            frames += n_frames
             alignment = np.frombuffer(align_bytes, dtype="<u2")
             if collapse_frames(alignment, blank=-1) != list(transcript):
                 raise CorruptDataError(f"utterance {utt_id}: alignment does not collapse to transcript")
@@ -379,12 +383,11 @@ def load_manifest(manifest_path) -> list[Utterance]:
                     feature_dim=f_dim,
                 )
             )
-    for feat_file, (feat_path, _, data) in shards.items():
-        if align_cursor[feat_file] != len(data):
-            align_path = os.path.splitext(feat_path)[0] + ".align"
-            raise CorruptDataError(
-                f"{align_path}: {len(data)} bytes, but the manifest's utterances cover {align_cursor[feat_file]}"
-            )
+    if shard is not None:
+        for path, size, covered in ((feat_path, payload_size, frames * f_dim * 4),
+                                    (align_path, len(align_data), frames * 2)):
+            if size != covered:
+                raise CorruptDataError(f"{path}: {size} data bytes, but the manifest's utterances cover {covered}")
     return utterances
 
 

@@ -76,19 +76,6 @@ def pooled_rate(counts: list) -> float:
     return total_edits / total_ref
 
 
-def error_rate(refs, hyps, vocab: Vocabulary | None = None) -> float:
-    """Pooled token error rate; strips language-id tokens from both sides
-    when a vocabulary is given."""
-    refs = list(refs)
-    return pooled_rate(list(error_counts(refs, hyps, [0] * len(refs), vocab).values()))
-
-
-def error_rate_by_group(refs, hyps, groups, vocab: Vocabulary | None = None) -> dict:
-    """Pooled rate within each group (e.g. language); the macro average over
-    groups is available next to the pooled headline number."""
-    return {group: pooled_rate([c]) for group, c in error_counts(refs, hyps, groups, vocab).items()}
-
-
 def lid_accuracy(decoded, languages, vocab: Vocabulary) -> float:
     """Fraction of utterances whose first decoded token is the correct
     language-id token; a missing token scores as wrong."""
@@ -205,29 +192,25 @@ def primary_reference(variant: str):
     return value, table
 
 
-def run_ablation(
-    ladder,
-    seeds,
-    corpus_dir,
-    out_dir,
-    model_cfg: dict,
-    train_cfg: dict,
-    jobs: int = 1,
-) -> list[ExperimentResult]:
+def run_ablation(ladder, seeds, corpus_dir, out_dir, train_cfg: dict, jobs: int = 1) -> list[ExperimentResult]:
     """Train and evaluate every (variant, seed) pair; failures are recorded
     per variant and do not stop the remaining runs.
 
-    ``ladder`` entries are builtin variant ids or (id, model_cfg) pairs for
-    custom variants.
+    ``ladder`` is a list of (id, model_cfg) pairs; ``apply_variant`` gives
+    a builtin variant's config. Each id owns ``<out_dir>/<id>/seed<k>``, so
+    a repeated id is a ``ConfigError`` before any run starts.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     from .trainer import run_single_experiment  # local import: trainer uses these metrics
 
+    variant_ids = [vid for vid, _ in ladder]
+    for i, vid in enumerate(variant_ids):
+        if vid in variant_ids[:i]:
+            raise ConfigError(f"ladder id {vid!r} appears more than once")
     os.makedirs(out_dir, exist_ok=True)
-    pairs = [(v, apply_variant(model_cfg, v)) if isinstance(v, str) else (v[0], v[1]) for v in ladder]
     tasks = []
-    for variant, variant_cfg in pairs:
+    for variant, variant_cfg in ladder:
         for seed in seeds:
             run_dir = os.path.join(out_dir, variant, f"seed{seed}")
             tasks.append((variant, int(seed), variant_cfg, run_dir))
@@ -258,7 +241,6 @@ def run_ablation(
                 )
             )
 
-    variant_ids = [vid for vid, _ in pairs]
     order = {v: i for i, v in enumerate(variant_ids)}
     results.sort(key=lambda r: (order[r.variant], r.seed))
     write_ablation_report(results, failures, variant_ids, out_dir)

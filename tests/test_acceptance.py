@@ -271,8 +271,9 @@ def test_criterion_9_determinism(small_corpus, small_vocab, tmp_path):
     )
 
     ab_cfg = {"steps": 10, "eval_interval": 10, "checkpoint_interval": 10, "batch_size": 4}
-    run_ablation(["B0", "C1"], [2], small_corpus, tmp_path / "ab_a", model_cfg, ab_cfg)
-    run_ablation(["B0", "C1"], [2], small_corpus, tmp_path / "ab_b", model_cfg, ab_cfg)
+    ladder = [(v, apply_variant(model_cfg, v)) for v in ("B0", "C1")]
+    run_ablation(ladder, [2], small_corpus, tmp_path / "ab_a", ab_cfg)
+    run_ablation(ladder, [2], small_corpus, tmp_path / "ab_b", ab_cfg)
     ablate_ok = (
         (tmp_path / "ab_a/ablation.csv").read_bytes() == (tmp_path / "ab_b/ablation.csv").read_bytes()
         and (tmp_path / "ab_a/summary.json").read_bytes() == (tmp_path / "ab_b/summary.json").read_bytes()

@@ -155,6 +155,18 @@ class TestExitCodes:
         assert any(repr(lang) in err for lang in spec.language_names[2:])
         assert str(list(vocab.languages)) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "probe"])
+    def test_checkpoint_of_another_phoneme_inventory_exits_1(self, command, cli_corpus, tmp_path, capsys):
+        spec = load_corpus_spec(cli_corpus / "corpus")
+        vocab = Vocabulary(spec.phoneme_symbols + ("p99",), spec.language_names)
+        path = tmp_path / "m.sshr"
+        SshrModel(tiny_model_config(vocab=vocab, feature_dim=spec.feature_dim)).save(path)
+        cfg = write_json(tmp_path / "eval.json", {"checkpoint": str(path), "corpus_dir": str(cli_corpus / "corpus")})
+        assert main([command] + ["--k", "4"] * (command == "probe") + ["--out", str(tmp_path / "run"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"phoneme {len(spec.phoneme_symbols)} is 'p99' in the checkpoint but None in" in err
+        assert "Traceback" not in err and not any((tmp_path / "run").iterdir())
+
     def test_zero_ablate_jobs_exits_1(self, cli_corpus, tmp_path, capsys):
         path = write_json(tmp_path / "cfg.json", small_train_config(cli_corpus / "corpus"))
         ladder = write_json(tmp_path / "ladder.json", ["B0"])
@@ -283,6 +295,15 @@ class TestAblateCli:
         assert lines[1].startswith("B0,1,") and lines[2].startswith("B0-wide,1,")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["variants"]["B0-wide"]["reference"] == []
+
+    def test_repeated_ladder_id_exits_1_before_any_run(self, cli_corpus, tmp_path, capsys):
+        cfg_path = write_json(tmp_path / "ab.json", small_train_config(cli_corpus / "corpus"))
+        ladder = write_json(tmp_path / "ladder.json", [{"id": "X", "variant": "B0"}, {"id": "X", "variant": "C1"}])
+        out = tmp_path / "ab_out"
+        assert main(["ablate", "--seed", "1", "--seeds", "1", "--out", str(out),
+                     "--config", cfg_path, "--ladder", ladder]) == 1
+        assert "ladder id 'X'" in capsys.readouterr().err
+        assert not (out / "X").exists()
 
 
 def set_at(doc, path, value):

@@ -17,6 +17,7 @@ from sshr.datagen import (
     load_corpus_spec,
     load_manifest,
     load_split,
+    struct_crc,
 )
 from sshr.errors import ConfigError, CorruptDataError, SshrError
 
@@ -188,8 +189,9 @@ class TestLoading:
         (lambda row: json.dumps({**row, "n_frames": 0, "transcript": ""}), "n_frames 0 is not positive"),
         (lambda row: json.dumps({**row, "n_frames": -3}), "n_frames -3 is not positive"),
         (lambda row: json.dumps({**row, "transcript": ""}), "empty transcript"),
+        (lambda row: json.dumps({**row, "feat_file": "train.feats"}), "'train.feats' is not the split's shard 'dev.feats'"),
     ], ids=["not_json", "unknown_symbol", "missing_key", "feat_file_not_a_path", "unknown_language",
-            "no_frames_no_phonemes", "negative_frames", "empty_transcript"])
+            "no_frames_no_phonemes", "negative_frames", "empty_transcript", "another_splits_shard"])
     def test_malformed_manifest_row_names_line(self, tmp_path, bad_row, message):
         generate_corpus(small_spec(), tmp_path)
         manifest = tmp_path / "manifest.dev.jsonl"
@@ -199,6 +201,28 @@ class TestLoading:
         with pytest.raises(CorruptDataError, match=message) as err:
             load_split(tmp_path, "dev")
         assert "manifest.dev.jsonl line 3" in str(err.value)
+
+    @pytest.mark.parametrize("offset", [
+        lambda rows, f_dim: rows[0]["offset_bytes"],
+        lambda rows, f_dim: rows[1]["offset_bytes"] + 4 * f_dim,
+    ], ids=["overlap", "gap"])
+    def test_row_offsets_follow_one_frame_cursor(self, tmp_path, offset):
+        spec = small_spec()
+        generate_corpus(spec, tmp_path)
+        manifest = tmp_path / "manifest.dev.jsonl"
+        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+        rows[1]["offset_bytes"] = offset(rows, spec.feature_dim)
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(CorruptDataError, match=f"utterance {rows[1]['id']}: offset_bytes"):
+            load_split(tmp_path, "dev")
+
+    def test_feature_shard_longer_than_manifest_rejected(self, tmp_path):
+        generate_corpus(small_spec(), tmp_path)
+        path = tmp_path / "dev.feats"
+        payload = path.read_bytes()[:-4] + bytes(320)  # 5 more frames, under a valid checksum
+        path.write_bytes(payload + struct_crc(payload))
+        with pytest.raises(CorruptDataError, match="dev.feats"):
+            load_split(tmp_path, "dev")
 
     def test_alignment_shard_longer_than_manifest_rejected(self, tmp_path):
         generate_corpus(small_spec(), tmp_path)
@@ -299,3 +323,57 @@ def test_fuzzed_language_fields_raise_only_sshr_errors(fuzz_corpus, data):
                 attempt()
             except SshrError:
                 pass
+
+
+# names of files the fuzz corpus holds: a shard that does not exist is an
+# OSError (exit 2), not a corrupt manifest
+FUZZ_FEAT_FILES = ("train.feats", "train.align", "corpus.json", 5)
+
+
+@st.composite
+def mutated_rows(draw, rows: list) -> list:
+    """Manifest ``rows`` with offsets, frame counts or shard names changed,
+    or rows duplicated, dropped or swapped."""
+    rows = [dict(row) for row in rows]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(("offset_bytes", "n_frames", "feat_file", "duplicate", "drop", "swap")))
+        if kind == "offset_bytes":
+            rows[i]["offset_bytes"] = draw(st.one_of(st.just(rows[j]["offset_bytes"]),
+                                                     st.integers(-64, rows[-1]["offset_bytes"] + 512)))
+        elif kind == "n_frames":
+            rows[i]["n_frames"] = rows[i]["n_frames"] + draw(st.integers(-3, 3))
+        elif kind == "feat_file":
+            rows[i]["feat_file"] = draw(st.sampled_from(FUZZ_FEAT_FILES))
+        elif kind == "duplicate":
+            rows.insert(j, dict(rows[i]))
+        elif kind == "drop" and len(rows) > 1:
+            del rows[i]
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_manifest_rows_raise_only_sshr_errors(fuzz_corpus, data):
+    rows = [json.loads(line) for line in (fuzz_corpus / "manifest.train.jsonl").read_text().splitlines()]
+    rows = data.draw(mutated_rows(rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        shutil.copytree(fuzz_corpus, corpus)
+        (corpus / "manifest.train.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        try:
+            utts = load_split(corpus, "train")
+        except SshrError:
+            return
+        # an accepted load walks one shard pair: contiguous, disjoint spans
+        # from byte 0 that cover both shards
+        shard = Path(utts[0].feat_path)
+        align = np.frombuffer(shard.with_suffix(".align").read_bytes(), dtype="<u2")
+        frames = 0
+        for utt in utts:
+            assert utt.feat_path == str(shard) and utt.offset_bytes == frames * utt.feature_dim * 4
+            assert np.array_equal(utt.alignment, align[frames : frames + utt.n_frames])
+            frames += utt.n_frames
+        assert frames * utts[0].feature_dim * 4 == shard.stat().st_size - 4 and frames == len(align)

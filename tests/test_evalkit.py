@@ -12,10 +12,10 @@ from sshr.evalkit import (
     apply_variant,
     default_taps,
     edit_distance,
-    error_rate,
-    error_rate_by_group,
+    error_counts,
     evaluate_model,
     lid_accuracy,
+    pooled_rate,
     primary_reference,
     run_ablation,
 )
@@ -45,33 +45,45 @@ class TestEditDistance:
         assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
 
 
+def pooled(counts: dict) -> float:
+    return pooled_rate(list(counts.values()))
+
+
 class TestErrorRate:
     def test_exact_match(self):
-        assert error_rate([[1, 2]], [[1, 2]]) == 0.0
+        counts = error_counts([[1, 2]], [[1, 2]], ["a"])
+        assert counts == {"a": [0, 2]} and pooled(counts) == 0.0
 
     def test_all_empty_hyps(self):
-        assert error_rate([[1, 2], [3]], [[], []]) == 1.0
+        counts = error_counts([[1, 2], [3]], [[], []], ["a", "a"])
+        assert counts == {"a": [3, 3]} and pooled(counts) == 1.0
 
     def test_single_insertion(self):
-        assert error_rate([[1, 2]], [[1, 3, 2]]) == 0.5
+        assert pooled(error_counts([[1, 2]], [[1, 3, 2]], ["a"])) == 0.5
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
-            error_rate([[1]], [[1], [2]])
+            error_counts([[1]], [[1], [2]], ["a"])
+        with pytest.raises(ConfigError):
+            error_counts([[1], [2]], [[1], [2]], ["a"])
 
     def test_empty_reference_corpus(self):
-        with pytest.raises(ConfigError):
-            error_rate([[]], [[1]])
+        counts = error_counts([[]], [[1]], ["a"])
+        assert counts == {"a": [1, 0]}
+        with pytest.raises(ConfigError, match="empty reference corpus"):
+            pooled(counts)
 
     def test_relabel_invariance(self):
         rng = np.random.default_rng(1)
         refs = [rng.integers(1, 5, size=6).tolist() for _ in range(4)]
         hyps = [rng.integers(1, 5, size=5).tolist() for _ in range(4)]
-        base = error_rate(refs, hyps)
+        groups = ["a", "b", "a", "b"]
+        base = error_counts(refs, hyps, groups)
         relabel = {i: i + 10 for i in range(5)}
-        assert error_rate(
+        assert error_counts(
             [[relabel[t] for t in r] for r in refs],
             [[relabel[t] for t in h] for h in hyps],
+            groups,
         ) == base
 
     def test_lid_stripping_gives_shared_reference_material(self):
@@ -80,14 +92,18 @@ class TestErrorRate:
         plain_refs = [[1, 2], [3, 4]]
         prefixed_refs = [[lid, 1, 2], [lid, 3, 4]]
         hyps = [[1, 2], [3]]
-        assert error_rate(plain_refs, hyps, vocab) == error_rate(prefixed_refs, hyps, vocab)
+        groups = ["L0", "L0"]
+        plain = error_counts(plain_refs, hyps, groups, vocab)
+        assert plain == error_counts(prefixed_refs, hyps, groups, vocab) == {"L0": [1, 4]}
 
     def test_per_group_rates_alongside_pooled(self):
         refs = [[1, 2], [1, 2, 3, 4]]
         hyps = [[1], [1, 2, 3, 4]]
-        by_group = error_rate_by_group(refs, hyps, ["a", "b"])
-        assert by_group == {"a": 0.5, "b": 0.0}
-        assert error_rate(refs, hyps) == 1 / 6  # pooled headline differs from macro
+        counts = error_counts(refs, hyps, ["b", "a"])
+        assert list(counts) == ["a", "b"]  # groups in sorted order
+        by_group = {group: pooled_rate([c]) for group, c in counts.items()}
+        assert by_group == {"a": 0.0, "b": 0.5}
+        assert pooled(counts) == 1 / 6  # pooled headline differs from macro
         assert sum(by_group.values()) / 2 == 0.25
 
 
@@ -110,9 +126,10 @@ class TestEvaluateModel:
         monkeypatch.undo()
         refs = [[vocab.phoneme_token(p) for p in u.transcript] for u in utts]
         langs = [u.lang for u in utts]
-        by_lang = error_rate_by_group(refs, hyps, langs, vocab)
+        counts = error_counts(refs, hyps, langs, vocab)
+        by_lang = {lang: pooled_rate([c]) for lang, c in counts.items()}
         assert scores == {
-            "per": error_rate(refs, hyps, vocab),
+            "per": pooled(counts),
             "per_by_language": by_lang,
             "macro_per": sum(by_lang.values()) / len(by_lang),
             "lid_acc": lid_accuracy(hyps, langs, vocab),
@@ -212,7 +229,7 @@ def mini(tmp_path_factory):
 class TestAblationHarness:
     def test_single_variant_ladder(self, mini, tmp_path):
         corpus, model_cfg, train_cfg = mini
-        results = run_ablation(["B0"], [1], corpus, tmp_path, model_cfg, train_cfg)
+        results = run_ablation([("B0", apply_variant(model_cfg, "B0"))], [1], corpus, tmp_path, train_cfg)
         assert len(results) == 1
         assert results[0].variant == "B0" and results[0].seed == 1
         csv_lines = (tmp_path / "ablation.csv").read_text().strip().splitlines()
@@ -221,7 +238,8 @@ class TestAblationHarness:
 
     def test_repeated_variant_same_seed_identical_rows(self, mini, tmp_path):
         corpus, model_cfg, train_cfg = mini
-        results = run_ablation(["B0", "B0"], [2], corpus, tmp_path, model_cfg, train_cfg)
+        b0 = apply_variant(model_cfg, "B0")
+        results = run_ablation([("B0", b0), ("B0-again", b0)], [2], corpus, tmp_path, train_cfg)
         assert len(results) == 2
         assert results[0].dev_per == results[1].dev_per
         assert results[0].test_per == results[1].test_per
@@ -233,7 +251,7 @@ class TestAblationHarness:
         corpus, model_cfg, train_cfg = mini
         broken = dict(model_cfg)
         broken["cross_taps"] = [99]  # invalid tap: the run must fail, not the harness
-        results = run_ablation([("B0", model_cfg), ("BAD", broken)], [1], corpus, tmp_path, model_cfg, train_cfg)
+        results = run_ablation([("B0", model_cfg), ("BAD", broken)], [1], corpus, tmp_path, train_cfg)
         assert [r.variant for r in results] == ["B0"]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["failures"] and summary["failures"][0]["variant"] == "BAD"
