@@ -317,8 +317,9 @@ def load_manifest(manifest_path) -> list[Utterance]:
     of both shards belongs to exactly one row. Verifies the feature shard
     checksum and that each alignment collapses to its transcript. Corrupt
     data names the offending utterance or shard, and a row that is not a
-    manifest object of known languages and phoneme symbols, with frames
-    and a nonempty transcript, on the split's shard, names its line.
+    manifest object of known languages and phoneme symbols, with a
+    positive integer ``n_frames``, an integer ``offset_bytes`` and a
+    nonempty transcript, on the split's shard, names its line.
     """
     corpus_dir = os.path.dirname(os.path.abspath(manifest_path))
     spec = load_corpus_spec(corpus_dir)
@@ -339,7 +340,9 @@ def load_manifest(manifest_path) -> list[Utterance]:
                 utt_id, lang, feat_file = row["id"], row["lang"], row["feat_file"]
                 if shard is None or feat_file != shard:  # the first row, or a row on another shard
                     feat_path = os.path.join(corpus_dir, feat_file)
-                n_frames, offset = int(row["n_frames"]), int(row["offset_bytes"])
+                n_frames, offset = row["n_frames"], row["offset_bytes"]
+                if type(n_frames) is not int or type(offset) is not int:  # no bool, float or string
+                    raise TypeError(f"n_frames {n_frames!r} and offset_bytes {offset!r} must be JSON integers")
                 symbols = row["transcript"].split()
             except (ValueError, KeyError, TypeError, AttributeError) as err:
                 raise CorruptDataError(f"{where}: malformed row ({type(err).__name__}: {err})") from None

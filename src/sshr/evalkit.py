@@ -198,7 +198,9 @@ def run_ablation(ladder, seeds, corpus_dir, out_dir, train_cfg: dict, jobs: int 
 
     ``ladder`` is a list of (id, model_cfg) pairs; ``apply_variant`` gives
     a builtin variant's config. Each id owns ``<out_dir>/<id>/seed<k>``, so
-    a repeated id is a ``ConfigError`` before any run starts.
+    a repeated id, or one that is not a single plain path component (empty,
+    ``.``, ``..``, holding a separator, absolute), is a ``ConfigError``
+    before any run starts.
     """
     from concurrent.futures import ProcessPoolExecutor
 
@@ -208,6 +210,8 @@ def run_ablation(ladder, seeds, corpus_dir, out_dir, train_cfg: dict, jobs: int 
     for i, vid in enumerate(variant_ids):
         if vid in variant_ids[:i]:
             raise ConfigError(f"ladder id {vid!r} appears more than once")
+        if vid in ("", ".", "..") or os.path.basename(vid) != vid:
+            raise ConfigError(f"ladder id {vid!r} is not one plain path component")
     os.makedirs(out_dir, exist_ok=True)
     tasks = []
     for variant, variant_cfg in ladder:

@@ -11,7 +11,8 @@ each scored posterior.
 A batch runs as one packed forward: the utterances' frames are stacked
 into a (sum T) x F matrix, every row-wise op runs once over all rows, and
 attention and the splice act per utterance. A single utterance is the
-batch of one.
+batch of one. ``SshrModel.stages`` is the one layer loop: ``forward`` runs
+it to the end, and the probe advances it one depth at a time.
 
 Parameters are declared once, in ``SshrModel._allocate``: ``input.*``,
 each layer's ``enc.{i}.*``, ``head_norm.*``, ``head.*``, the order of the
@@ -181,15 +182,18 @@ class SshrModel:
             tables.append(table)
         return np.concatenate(tables)
 
-    def forward(self, features: np.ndarray, retain_activations: bool = False, lengths=None) -> ForwardOutput:
-        """Run packed utterances; returns posteriors at the final layer and
-        at every tap, plus per-layer activations when asked.
+    def stages(self, features: np.ndarray, lengths=None):
+        """The forward pass one stage at a time, the stack's one layer loop.
 
         ``features`` stacks the utterances' frames in order, and
         ``lengths`` gives their frame counts (None: a single utterance).
-        Retained activations are the outputs each stage hands onward: index
-        0 is the projected-and-positioned input, index d is layer d's
-        output (taken before the splice when d is the extraction layer).
+        Yields each stage's output tensor: first the projected-and-positioned
+        input, then layer d's output for d = 1..depth, taken before the
+        splice when d is the extraction layer. A layer's splice and tap
+        posterior run when the generator is resumed past it, so a consumer
+        that stops after layer d runs layers 1..d and no head above them.
+        Returns ``(x, lengths, tap posteriors)``: the final layer's output,
+        the utterances' row counts and the tap posteriors in tap order.
         """
         feats = np.asarray(features, dtype=self.dtype)
         if feats.ndim != 2 or feats.shape[1] != self.cfg.feature_dim:
@@ -201,7 +205,7 @@ class SshrModel:
             raise ConfigError(f"utterance lengths {list(lengths)} must be positive and sum to {feats.shape[0]} frames")
         x = tz.linear(tz.Tensor(feats), self.params["input.w"], self.params["input.b"])
         x = tz.add(x, tz.Tensor(self._positions(lengths)))
-        acts = [x.values] if retain_activations else None
+        yield x
         lid_layer = self.cfg.lid_extract_layer
         taps = set(self.cfg.cross_taps)
         posteriors: dict[int, tz.Tensor] = {}
@@ -212,8 +216,7 @@ class SshrModel:
                     x = cross_attention_layer(tz.exp(posteriors[spec.source]), x, lp, heads, lengths)
                 else:
                     x = self_attention_layer(x, lp, heads, lengths)
-                if acts is not None:
-                    acts.append(x.values)
+                yield x
                 if lid_layer == pos:
                     x = extract_and_splice_lid_frame(x, lengths)
                     lengths = tuple(n + 1 for n in lengths)
@@ -221,12 +224,23 @@ class SshrModel:
                     posteriors[pos] = self._head(x)
             except SshrError as err:
                 raise type(err)(f"layer {pos}: {err}") from err
-        return ForwardOutput(
-            final=self._head(x),
-            intermediates=list(posteriors.values()),
-            lengths=lengths,
-            activations=acts,
-        )
+        return x, lengths, list(posteriors.values())
+
+    def forward(self, features: np.ndarray, retain_activations: bool = False, lengths=None) -> ForwardOutput:
+        """Run packed utterances through every stage of ``stages``; returns
+        posteriors at the final layer and at every tap, plus each stage's
+        output (the activations, index 0 the input) when asked."""
+        run = self.stages(features, lengths)
+        acts = [] if retain_activations else None
+        while True:
+            try:
+                out = next(run)
+            except StopIteration as done:
+                x, lengths, intermediates = done.value
+                break
+            if acts is not None:
+                acts.append(out.values)
+        return ForwardOutput(final=self._head(x), intermediates=intermediates, lengths=lengths, activations=acts)
 
     def ctc_terms(self, n_frames: int, transcript, language) -> list[tuple[int, list[int]]]:
         """The CTC objective of one utterance: ``(rows, targets)`` for the

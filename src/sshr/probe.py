@@ -19,8 +19,29 @@ from .errors import ConfigError
 from .files import replacing, write_json
 
 
+def _labels(model, utterances):
+    """The utterances' language indices and stacked per-frame phoneme
+    labels; rejects an empty list or a language the checkpoint lacks."""
+    languages = model.cfg.vocab.languages
+    if not utterances:
+        raise ConfigError("no utterances to probe")
+    for utt in utterances:
+        if utt.lang not in languages:
+            raise ConfigError(f"utterance language {utt.lang!r} is not one of the checkpoint's languages {list(languages)}")
+    lang_labels = np.asarray([languages.index(utt.lang) for utt in utterances])
+    return lang_labels, np.concatenate([utt.alignment for utt in utterances]).astype(np.int64)
+
+
+def _store(act, i: int, start: int, n_frames: int, pooled, frames):
+    """Copy utterance i's activation at one depth in: its mean over the
+    full sequence into ``pooled[i]``, its frames (summary row excluded)
+    into ``frames[start:start + n_frames]``."""
+    pooled[i] = act.mean(axis=0)
+    frames[start:start + n_frames] = act[1:] if act.shape[0] == n_frames + 1 else act
+
+
 def collect_layer_data(model, utterances):
-    """One forward per utterance, shared by every per-layer probe.
+    """Every depth's activations of the utterances, one forward each.
 
     Returns (pooled, frames, lang_labels, frame_labels): pooled[d] is
     N x H means over the full sequence (language-summary row included via
@@ -30,30 +51,20 @@ def collect_layer_data(model, utterances):
     Each layer's two arrays are allocated once, in the activations' dtype,
     at the first forward, and every utterance's rows are copied in as its
     forward returns, so the result is the only copy of the activations
-    that outlives a forward.
+    that outlives a forward. ``probe_all_layers`` holds one depth at a time
+    instead.
     """
-    languages = model.cfg.vocab.languages
-    if not utterances:
-        raise ConfigError("no utterances to probe")
-    for utt in utterances:
-        if utt.lang not in languages:
-            raise ConfigError(f"utterance language {utt.lang!r} is not one of the checkpoint's languages {list(languages)}")
-    n_total = sum(utt.n_frames for utt in utterances)
-    lang_labels = np.asarray([languages.index(utt.lang) for utt in utterances])
-    frame_labels = np.empty(n_total, dtype=np.int64)
+    lang_labels, frame_labels = _labels(model, utterances)
     start = 0
     with tz.no_grad():
         for i, utt in enumerate(utterances):
             acts = model.forward(utt.features, retain_activations=True).activations
             if i == 0:
                 pooled = [np.empty((len(utterances), act.shape[1]), act.dtype) for act in acts]
-                frames = [np.empty((n_total, act.shape[1]), act.dtype) for act in acts]
-            stop = start + utt.n_frames
-            frame_labels[start:stop] = utt.alignment
+                frames = [np.empty((len(frame_labels), act.shape[1]), act.dtype) for act in acts]
             for d, act in enumerate(acts):
-                pooled[d][i] = act.mean(axis=0)
-                frames[d][start:stop] = act[1:] if act.shape[0] == utt.n_frames + 1 else act
-            start = stop
+                _store(act, i, start, utt.n_frames, pooled[d], frames[d])
+            start += utt.n_frames
     return pooled, frames, lang_labels, frame_labels
 
 
@@ -283,18 +294,38 @@ class ProbeReport:
 def probe_all_layers(model, utterances, k: int, seed: int, checkpoint_id: str = "", probe_set_id: str = "",
                      layers=None) -> ProbeReport:
     """LID accuracy and cluster/phoneme MI at each depth in ``layers``
-    (default: every depth, layer 0 included)."""
+    (default: every depth, layer 0 included), rows in ``layers`` order.
+
+    Each utterance keeps its own ``model.stages`` run, and all of them
+    advance one depth at a time: a depth's activations are copied into one
+    pooled and one frame buffer, reused for every depth, and probed before
+    the next depth runs. So the probe holds one depth's frames and each
+    utterance's current activation, and stops after the deepest layer
+    asked for, before any layer or head above it. The numbers are those of
+    ``collect_layer_data`` followed by the per-depth probes.
+    """
     layers = range(model.depth + 1) if layers is None else list(layers)
     for d in layers:
         if not 0 <= d <= model.depth:
             raise ConfigError(f"layer {d} outside [0, {model.depth}]")
-    pooled, frames, lang_labels, frame_labels = collect_layer_data(model, utterances)
-    rows = []
-    for d in layers:
-        acc = lid_probe(pooled[d], lang_labels, split_seed=seed)
-        km = kmeans(frames[d], k, seed=seed + d)
-        mi = mutual_information(km.assignments, frame_labels)
-        rows.append({"layer": d, "lid_acc": acc, "mi_nats": mi})
+    lang_labels, frame_labels = _labels(model, utterances)
+    scores = {}
+    with tz.no_grad():
+        runs = [model.stages(utt.features) for utt in utterances]
+        for d in range(max(layers, default=-1) + 1):
+            start = 0
+            for i, (run, utt) in enumerate(zip(runs, utterances)):
+                act = next(run).values
+                if d == 0 and i == 0:
+                    pooled = np.empty((len(utterances), act.shape[1]), act.dtype)
+                    frames = np.empty((len(frame_labels), act.shape[1]), act.dtype)
+                _store(act, i, start, utt.n_frames, pooled, frames)
+                start += utt.n_frames
+            if d in layers:
+                acc = lid_probe(pooled, lang_labels, split_seed=seed)
+                km = kmeans(frames, k, seed=seed + d)
+                scores[d] = acc, mutual_information(km.assignments, frame_labels)
+    rows = [{"layer": d, "lid_acc": scores[d][0], "mi_nats": scores[d][1]} for d in layers]
     return ProbeReport(
         rows=rows,
         metadata={

@@ -6,7 +6,10 @@ inside the 2000-step budget the criteria allow.
 """
 
 import math
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from sshr.trainer import run_single_experiment, train
 
 PINNED_SEEDS = (1, 2, 3)
 PINNED_STEPS = 600  # converges well inside the 2000-step budget
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                    "NUMEXPR_NUM_THREADS")
 
 
 def report(num, desc, ok, extra=""):
@@ -40,9 +45,23 @@ def default_corpus(tmp_path_factory):
     return out
 
 
+def _timed_run(model_cfg, train_cfg, corpus_dir, run_dir):
+    """``run_single_experiment`` in a pool worker: its result and its own
+    wall time."""
+    started = time.perf_counter()
+    res = run_single_experiment(model_cfg, train_cfg, corpus_dir, run_dir)
+    return res, time.perf_counter() - started
+
+
 @pytest.fixture(scope="session")
 def pinned_runs(default_corpus, tmp_path_factory):
-    """B0 and C4 trained on the default corpus for each pinned seed."""
+    """B0 and C4 trained on the default corpus for each pinned seed.
+
+    The six runs share a pool of up to two spawned workers, each started
+    with one BLAS thread (two per worker would oversubscribe two cores).
+    ``elapsed_sec`` sums the runs' own wall times, so it stays the
+    training time of six runs.
+    """
     out = tmp_path_factory.mktemp("acc_runs")
     from sshr.datagen import load_corpus_spec
 
@@ -50,17 +69,20 @@ def pinned_runs(default_corpus, tmp_path_factory):
     vocab = Vocabulary(spec.phoneme_symbols, spec.language_names)
     base = default_model_config(vocab, spec.feature_dim)
     tcfg = {"steps": PINNED_STEPS, "eval_interval": 300, "checkpoint_interval": PINNED_STEPS}
-    results = {}
-    started = time.perf_counter()
+    runs = {}
     for variant in ("B0", "C4"):
         for seed in PINNED_SEEDS:
             cfg = apply_variant(base, variant)
             cfg["seed"] = seed
-            run_dir = out / variant / f"seed{seed}"
-            res = run_single_experiment(cfg, dict(tcfg, seed=seed), default_corpus, run_dir)
-            res["checkpoint"] = str(run_dir / "final.sshr")
-            results[(variant, seed)] = res
-    results["elapsed_sec"] = time.perf_counter() - started
+            runs[(variant, seed)] = (cfg, dict(tcfg, seed=seed), default_corpus, out / variant / f"seed{seed}")
+    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1), mp_context=get_context("spawn")) as pool:
+        with pytest.MonkeyPatch.context() as env:  # a worker copies the environment when a submit starts it
+            for var in BLAS_THREAD_VARS:
+                env.setenv(var, "1")
+            futures = {key: pool.submit(_timed_run, *args) for key, args in runs.items()}
+        outcomes = {key: future.result() for key, future in futures.items()}
+    results = {key: {**res, "checkpoint": str(runs[key][3] / "final.sshr")} for key, (res, _) in outcomes.items()}
+    results["elapsed_sec"] = sum(elapsed for _, elapsed in outcomes.values())
     return results
 
 

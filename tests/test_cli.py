@@ -305,6 +305,21 @@ class TestAblateCli:
         assert "ladder id 'X'" in capsys.readouterr().err
         assert not (out / "X").exists()
 
+    @pytest.mark.parametrize("ladder_id", ["../escaped", "nested/escaped", "..", "ABSOLUTE"])
+    def test_ladder_id_that_is_not_one_path_component_exits_1_writing_nothing_outside_out(
+            self, cli_corpus, tmp_path, capsys, ladder_id):
+        if ladder_id == "ABSOLUTE":
+            ladder_id = str(tmp_path / "escaped")
+        cfg_path = write_json(tmp_path / "ab.json", small_train_config(cli_corpus / "corpus"))
+        ladder = write_json(tmp_path / "ladder.json", [{"id": ladder_id, "variant": "B0"}])
+        out = tmp_path / "ab" / "out"
+        assert main(["ablate", "--seed", "1", "--seeds", "1", "--out", str(out),
+                     "--config", cfg_path, "--ladder", ladder]) == 1
+        assert f"ladder id {ladder_id!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ab", "ab.json", "ladder.json"]
+        assert [p.name for p in (tmp_path / "ab").iterdir()] == ["out"]
+        assert list(out.iterdir()) == []
+
 
 def set_at(doc, path, value):
     target = doc

@@ -190,8 +190,13 @@ class TestLoading:
         (lambda row: json.dumps({**row, "n_frames": -3}), "n_frames -3 is not positive"),
         (lambda row: json.dumps({**row, "transcript": ""}), "empty transcript"),
         (lambda row: json.dumps({**row, "feat_file": "train.feats"}), "'train.feats' is not the split's shard 'dev.feats'"),
+        (lambda row: json.dumps({**row, "offset_bytes": str(row["offset_bytes"])}), "malformed row"),
+        (lambda row: json.dumps({**row, "n_frames": row["n_frames"] + 0.9}), "malformed row"),
+        (lambda row: json.dumps({**row, "n_frames": float(row["n_frames"])}), "malformed row"),
+        (lambda row: json.dumps({**row, "n_frames": True}), "malformed row"),
     ], ids=["not_json", "unknown_symbol", "missing_key", "feat_file_not_a_path", "unknown_language",
-            "no_frames_no_phonemes", "negative_frames", "empty_transcript", "another_splits_shard"])
+            "no_frames_no_phonemes", "negative_frames", "empty_transcript", "another_splits_shard",
+            "string_offset", "fractional_frames", "float_frames", "bool_frames"])
     def test_malformed_manifest_row_names_line(self, tmp_path, bad_row, message):
         generate_corpus(small_spec(), tmp_path)
         manifest = tmp_path / "manifest.dev.jsonl"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -262,12 +263,76 @@ class TestProbePipeline:
         assert part.rows == [full.rows[2], full.rows[0]] and part.metadata == full.metadata
 
     def test_out_of_range_layer_rejected_before_any_forward(self, probe_setup, monkeypatch):
-        import sshr.probe
-
         model, utts = probe_setup
-        monkeypatch.setattr(sshr.probe, "collect_layer_data", lambda *a: pytest.fail("collected layers first"))
+        monkeypatch.setattr(SshrModel, "stages", lambda *a: pytest.fail("collected layers first"))
         with pytest.raises(ConfigError):
             probe_all_layers(model, utts, k=6, seed=0, layers=[model.depth + 1])
+
+    def test_empty_list_and_unknown_language_rejected_before_any_forward(self, probe_setup, monkeypatch):
+        model, utts = probe_setup
+        stranger = dataclasses.replace(utts[1], lang="XX")
+        monkeypatch.setattr(SshrModel, "stages", lambda *a: pytest.fail("collected layers first"))
+        for bad in ([], [utts[0], stranger]):
+            with pytest.raises(ConfigError):
+                probe_all_layers(model, bad, k=2, seed=0)
+
+    @pytest.mark.parametrize("tapped", [False, True], ids=["splice", "splice_and_taps"])
+    @pytest.mark.parametrize("layers", [None, [2, 0], [3, 1, 3]], ids=["all", "subset", "repeated"])
+    def test_equals_collection_then_per_depth_probes(self, probe_setup, tapped, layers):
+        """The depth-at-a-time probe gives, row for row, the numbers of
+        ``collect_layer_data`` followed by each depth's three probes."""
+        model, utts = probe_setup
+        if tapped:  # taps before and after the splice at layer 3
+            model = SshrModel(tiny_model_config(vocab=model.cfg.vocab, depth=5, hidden=8, heads=2, ffn=16,
+                                                feature_dim=16, seed=4, lid_extract_layer=3, lid_in_targets=True,
+                                                cross_taps=[2, 4], loss_weight=0.5))
+        pooled, frames, lang_labels, frame_labels = collect_layer_data(model, utts)
+        depths = range(model.depth + 1) if layers is None else layers
+        expected = [
+            {"layer": d, "lid_acc": lid_probe(pooled[d], lang_labels, split_seed=3),
+             "mi_nats": mutual_information(kmeans(frames[d], 6, seed=3 + d).assignments, frame_labels)}
+            for d in depths
+        ]
+        assert probe_all_layers(model, utts, k=6, seed=3, layers=layers).rows == expected
+
+    def test_one_layer_runs_only_the_layers_below_it(self, probe_setup, monkeypatch):
+        import sshr.model
+
+        model, utts = probe_setup
+        calls = {"self_attention_layer": 0, "ctc_head": 0}
+        for name in calls:
+            original = getattr(sshr.model, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sshr.model, name, counted)
+        probe_all_layers(model, utts, k=6, seed=0, layers=[2])
+        assert calls == {"self_attention_layer": 2 * len(utts), "ctc_head": 0}
+
+    def test_peak_memory_below_all_depths_frames(self, tmp_path):
+        """The probe holds one depth's frames, not every depth's."""
+        from sshr.ctc import Vocabulary
+        from sshr.datagen import default_corpus_spec, generate_corpus, load_split
+        from sshr.evalkit import apply_variant
+        from sshr.model import SshrConfig, default_model_config
+
+        spec = default_corpus_spec(seed=5, counts={"train": 1, "dev": 1, "test": 15})
+        generate_corpus(spec, tmp_path)
+        utts = load_split(tmp_path, "test")
+        vocab = Vocabulary(spec.phoneme_symbols, spec.language_names)
+        model = SshrModel(SshrConfig.from_dict(apply_variant(default_model_config(vocab, spec.feature_dim), "C4")))
+        assert len(utts) >= 60 and model.cfg.cross_taps
+        probe_all_layers(model, utts, k=8, seed=0, layers=[0])  # reads the features, caches the position tables
+        tracemalloc.start()
+        try:
+            probe_all_layers(model, utts, k=8, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        all_frames = (model.depth + 1) * sum(utt.n_frames for utt in utts) * model.cfg.stack.hidden * 4
+        assert peak < 0.7 * all_frames
 
     def test_dump_layer_zero_is_projected_input(self, probe_setup):
         model, utts = probe_setup
