@@ -1,12 +1,26 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are plain numpy arrays: float32 for training, float64 for
-verification paths (operations preserve the dtype of their inputs). Each
-operation returns a new Tensor that remembers its parents and a closure
-producing the parents' gradient contributions, so the computation record
-is the topologically ordered set of tensors reachable from a root.
-Gradients accumulate into ``.grad`` of every tensor built with
-``requires_grad=True``; callers zero grads between steps.
+verification paths (operations preserve the dtype of their inputs).
+
+The record is kept apart from the values. A ``Tensor`` holds its
+``values``, its ``.grad`` and its record ``Node``; a tensor that needs no
+gradient (a constant, or any output under ``no_grad``) has no node. An
+op's node holds its parents' nodes, the rule mapping the output's
+gradient to the parents' contributions, and the output dtype, but no
+values; it points back (weakly) at its tensor only while that tensor
+``requires_grad``. The record, the nodes reachable from a root, lives as
+long as the root; an op output's array lives only as long as its caller
+or a rule holds it. Each rule closes over only what its formula reads:
+``linear`` its input and weight, ``layer_norm`` the normalized rows and
+inverse deviations, ``exp`` its output, ``log_softmax_rows`` the float64
+softmax, attention its operands and weights, ``gelu`` its derivative
+(formed in the forward), ``ctc_loss`` its gradient, ``row_slice``,
+``prepend_row`` and ``mean_over_time`` shapes and indices, ``add`` and
+``scale`` nothing. So residual sums and the ``wo`` and ``w2`` products
+are freed as soon as the next op has read them. Gradients accumulate
+into ``.grad`` of every tensor with ``requires_grad``; callers zero
+grads between steps.
 
 Gradient arrays are shared, not copied, inside a sweep: ``backward``
 passes the array a rule returns on as the parent's gradient (``add``
@@ -27,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,8 +63,28 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
+class Node:
+    """One entry of the computation record: the parents' nodes (None for
+    a parent that needs no gradient), the rule mapping this output's
+    gradient to theirs (None for a leaf), and the output dtype.
+
+    ``tensor`` is a weak reference to the Tensor whose gradient the sweep
+    keeps, set only while that tensor ``requires_grad``; every other node
+    holds no value. Weak, so a tensor and its node form no cycle: a
+    dropped model's parameters are freed at once, not by the collector.
+    """
+
+    __slots__ = ("parents", "rule", "dtype", "tensor")
+
+    def __init__(self, parents, rule, dtype):
+        self.parents = parents
+        self.rule = rule
+        self.dtype = dtype
+        self.tensor = None
+
+
 class Tensor:
-    """A numpy array plus an optional gradient slot and graph linkage.
+    """A numpy array plus an optional gradient slot and its record node.
 
     An op's values are immutable by convention once created; ``grad`` is
     mutated afterwards, and a parameter's values only by an optimizer step
@@ -57,19 +92,31 @@ class Tensor:
     finite, so NaN/Inf surfaces at the op that produced it.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "name", "_parents", "_backward", "_needs_grad")
+    __slots__ = ("values", "grad", "name", "_node", "__weakref__")
 
-    def __init__(self, values, requires_grad=False, name=None, _parents=(), _backward=None):
+    def __init__(self, values, requires_grad=False, name=None):
         v = np.asarray(values)
         if not np.isfinite(v).all():
             raise NonFiniteError(f"non-finite values in tensor {name or '<anonymous>'}")
         self.values = v
         self.grad = None
-        self.requires_grad = requires_grad
         self.name = name
-        self._parents = _parents
-        self._backward = _backward
-        self._needs_grad = requires_grad or bool(_parents)
+        self._node = None
+        if requires_grad:
+            self.requires_grad = True
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None and self._node.tensor is not None
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool):
+        """Makes the sweep keep (or stop keeping) this tensor's gradient;
+        a tensor without a node becomes a leaf of the record."""
+        if flag and self._node is None:
+            self._node = Node((), None, self.values.dtype)
+        if self._node is not None:
+            self._node.tensor = weakref.ref(self) if flag else None
 
     def item(self) -> float:
         return float(self.values)
@@ -82,21 +129,28 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _records(parents) -> bool:
+    """Whether an op on ``parents`` goes on the record."""
+    return _GRAD_ENABLED and any(p._node is not None for p in parents)
+
+
 def _op(values, parents, backward_fn):
-    if _GRAD_ENABLED and any(p._needs_grad for p in parents):
-        return Tensor(values, _parents=tuple(parents), _backward=backward_fn)
-    return Tensor(values)
+    out = Tensor(values)
+    if _records(parents):
+        out._node = Node(tuple(p._node for p in parents), backward_fn, out.values.dtype)
+    return out
 
 
-def linearize(root: Tensor) -> list[Tensor]:
-    """The computation record: tensors reachable from ``root``, inputs first.
+def linearize(root: Tensor) -> list[Node]:
+    """The computation record: the nodes reachable from ``root``, inputs
+    first. A tensor that needs no gradient has no node and is not on it.
 
     Deterministic for a fixed graph, so replaying it yields bitwise
     identical gradients.
     """
-    order: list[Tensor] = []
+    order: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [] if root._node is None else [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -106,8 +160,8 @@ def linearize(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
+        for parent in node.parents:
+            if parent is not None and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
@@ -118,34 +172,40 @@ def backward(root: Tensor, seed=None) -> dict[Tensor, np.ndarray]:
     ``seed`` must match the root's shape (defaults to ones). Gradients are
     *added* into ``.grad`` of every requires_grad tensor, so repeated calls
     accumulate; the returned dict maps each reached requires_grad tensor
-    to the gradient of this sweep alone. Every other gradient is freed
-    once its node's rule has used it, so setting ``requires_grad`` on an
-    intermediate is how a caller observes its gradient.
+    to the gradient of this sweep alone (one its caller has dropped
+    gets none). Every other gradient is freed once its node's rule has
+    used it, so setting ``requires_grad`` on an intermediate is how a
+    caller observes its gradient.
     """
     if seed is None:
         seed = np.ones_like(root.values)
     seed = np.asarray(seed, dtype=root.values.dtype)
     if seed.shape != root.values.shape:
         raise ConfigError(f"seed shape {seed.shape} does not match output shape {root.values.shape}")
-    flow: dict[Tensor, np.ndarray] = {root: seed.copy()}
+    flow: dict[Node, np.ndarray] = {} if root._node is None else {root._node: seed.copy()}
     for node in reversed(linearize(root)):
-        g = flow.get(node) if node.requires_grad else flow.pop(node, None)
-        if g is None or node._backward is None:
+        g = flow.get(node) if node.tensor is not None else flow.pop(node, None)
+        if g is None or node.rule is None:
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not parent._needs_grad:
+        for parent, pg in zip(node.parents, node.rule(g)):
+            if pg is None or parent is None:
                 continue
             buf = flow.get(parent)
             # cast (a float64 rule output must not leak into float32
             # parents) but never copy; sums are out of place because
             # arrays are shared
-            flow[parent] = np.asarray(pg if buf is None else buf + pg, dtype=parent.values.dtype)
-    for node, g in flow.items():  # only requires_grad tensors are left
-        if node.grad is None:
-            node.grad = g.copy()  # g may be shared with another tensor's flow
+            flow[parent] = np.asarray(pg if buf is None else buf + pg, dtype=parent.dtype)
+    grads: dict[Tensor, np.ndarray] = {}
+    for node, g in flow.items():  # only requires_grad nodes are left
+        t = node.tensor()
+        if t is None:  # its caller has dropped it
+            continue
+        if t.grad is None:
+            t.grad = g.copy()  # g may be shared with another tensor's flow
         else:
-            node.grad += g
-    return flow
+            t.grad += g
+        grads[t] = g
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +221,7 @@ def linear(x, w, b) -> Tensor:
     if bv.shape != (wv.shape[1],):
         raise ConfigError(f"linear bias shape {bv.shape} does not match output width {wv.shape[1]}")
 
-    x_needs_grad = x._needs_grad  # raw features need no g @ w.T
+    x_needs_grad = x._node is not None  # raw features need no g @ w.T
 
     def backward_fn(g):
         return (g @ wv.T if x_needs_grad else None), xv.T @ g, g.sum(axis=0)
@@ -206,6 +266,9 @@ def gelu(a) -> Tensor:
     """GELU through the tanh approximation:
 
     ``0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3)))``
+
+    On the record it keeps only its derivative, formed in the forward;
+    the rule multiplies the incoming gradient by it.
     """
     a = _as_tensor(a)
     xv = a.values
@@ -219,25 +282,28 @@ def gelu(a) -> Tensor:
     t += xv
     t *= k
     np.tanh(t, out=t)
-    out = xv * 0.5
-    out *= t + 1.0
+    half = xv * 0.5
+    d = t + 1.0
+    if not _records((a,)):
+        half *= d
+        return _op(half, (a,), None)
+    out = half * d
+    # 0.5*(1 + t) + 0.5*x*(1 - t*t)*k*(1 + 3c*x*x), into the buffers
+    # of d, t and half
+    d *= 0.5
+    np.multiply(t, t, out=t)
+    np.subtract(1.0, t, out=t)
+    du = half
+    du *= t
+    du *= k
+    np.multiply(xv, 3.0 * c, out=t)
+    t *= xv
+    t += 1.0
+    du *= t
+    du += d
 
     def backward_fn(g):
-        # 0.5*(1 + t) + 0.5*x*(1 - t*t)*k*(1 + 3c*x*x), then times g
-        d = t + 1.0
-        d *= 0.5
-        u = t * t
-        np.subtract(1.0, u, out=u)
-        du = xv * 0.5
-        du *= u
-        du *= k
-        np.multiply(xv, 3.0 * c, out=u)
-        u *= xv
-        u += 1.0
-        du *= u
-        du += d
-        du *= g
-        return (du,)
+        return (du * g,)
 
     return _op(out, (a,), backward_fn)
 
@@ -329,14 +395,14 @@ def row_slice(x, start: int, stop: int) -> Tensor:
     """Rows ``start:stop`` of a matrix as a view (no copy); the gradient is
     scattered back into those rows."""
     x = _as_tensor(x)
-    xv = x.values
+    shape, dtype = x.values.shape, x.values.dtype
 
     def backward_fn(g):
-        full = np.zeros_like(xv)
+        full = np.zeros(shape, dtype=dtype)
         full[start:stop] = g
         return (full,)
 
-    return _op(xv[start:stop], (x,), backward_fn)
+    return _op(x.values[start:stop], (x,), backward_fn)
 
 
 def mean_over_time(x, lengths) -> Tensor:

@@ -542,6 +542,62 @@ class TestPackedEquivalence:
         assert not spliced.feasible(2, [0, 1, 2], "L0")
 
 
+def _closure_bytes(record) -> int:
+    """Bytes of the distinct arrays the record's rules close over, each
+    view counted as the array that owns its memory."""
+    owners = {}
+    for node in record:
+        cells = node.rule.__closure__ if node.rule else None
+        for cell in cells or ():
+            stack = [cell.cell_contents]
+            while stack:
+                x = stack.pop()
+                if isinstance(x, np.ndarray):
+                    while isinstance(x.base, np.ndarray):
+                        x = x.base
+                    owners[id(x)] = x.nbytes
+                elif isinstance(x, (list, tuple)):
+                    stack.extend(x)
+    return sum(owners.values())
+
+
+class TestRecordMemory:
+    @pytest.mark.parametrize("variant", ["B0", "C4"])
+    def test_batch_loss_holds_only_what_rules_read(self, variant, small_corpus, small_vocab):
+        # an op output no rule reads is freed during the forward, so after
+        # it the traced bytes stay within the arrays the rules keep
+        import tracemalloc
+
+        from sshr.datagen import load_split
+
+        utts = load_split(small_corpus, "train")[:8]
+        batch = [(u.features, u.transcript, u.lang) for u in utts]
+        base = default_model_config(small_vocab, utts[0].features.shape[1], seed=3)
+        model = SshrModel(SshrConfig.from_dict(apply_variant(base, variant)))
+        model.batch_loss(batch)  # fills the positional-table cache
+        tracemalloc.start()
+        try:
+            loss = model.batch_loss(batch)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= _closure_bytes(tz.linearize(loss))
+
+    def test_dropped_model_is_freed_without_the_collector(self):
+        # a parameter and its record node must form no reference cycle
+        import gc
+        import weakref
+
+        model = SshrModel(tiny_model_config())
+        arena = weakref.ref(model.flat_values)
+        gc.disable()
+        try:
+            del model
+            assert arena() is None
+        finally:
+            gc.enable()
+
+
 class TestBenchmarkContract:
     """The traced benchmark patches these names and counts these calls."""
 

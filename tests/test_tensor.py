@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -143,13 +144,13 @@ class TestPackedSegments:
             seg[int(rng.integers(len(seg)))] = 1
             q, k, v, g = (rng.normal(size=(sum(seg), 16)).astype(dtype) for _ in range(4))
             packed = tz.multi_head_attention(*(tz.Tensor(a, requires_grad=True) for a in (q, k, v)), 4, seg)
-            packed_grads = packed._backward(g)
+            packed_grads = packed._node.rule(g)
             start = 0
             for n in seg:
                 rows = slice(start, start + n)
                 alone = tz.multi_head_attention(*(tz.Tensor(a[rows], requires_grad=True) for a in (q, k, v)), 4, (n,))
                 assert np.array_equal(packed.values[rows], alone.values)
-                for got, want in zip(packed_grads, alone._backward(g[rows])):
+                for got, want in zip(packed_grads, alone._node.rule(g[rows])):
                     assert np.array_equal(got[rows], want)
                 start += n
 
@@ -175,10 +176,10 @@ class TestLinear:
         w = t64(rng.normal(size=(4, 2)), requires_grad=True)
         b = t64(np.zeros(2), requires_grad=True)
         out = tz.linear(x, w, b)
-        gx, gw, gb = out._backward(np.ones((3, 2)))
+        gx, gw, gb = out._node.rule(np.ones((3, 2)))
         assert gx is None
         assert np.allclose(gw, x.values.T @ np.ones((3, 2))) and np.array_equal(gb, [3.0, 3.0])
-        assert tz.linear(t64(x.values, requires_grad=True), w, b)._backward(np.ones((3, 2)))[0] is not None
+        assert tz.linear(t64(x.values, requires_grad=True), w, b)._node.rule(np.ones((3, 2)))[0] is not None
 
 
 class TestBackward:
@@ -221,7 +222,7 @@ class TestBackward:
         record = tz.linearize(z)
         position = {id(t): i for i, t in enumerate(record)}
         for node in record:
-            for parent in node._parents:
+            for parent in node.parents:
                 assert position[id(parent)] < position[id(node)]
 
     def test_sweep_frees_intermediate_gradients(self):
@@ -241,6 +242,30 @@ class TestBackward:
         assert peak < 4 * x.values.nbytes
         assert list(flow) == [x] and np.array_equal(x.grad, np.ones(200_000))
 
+    def test_unread_output_is_freed_before_the_sweep(self):
+        # no rule reads add's output, so the record must not keep it
+        import weakref
+
+        x, w = t64([[1.0, -2.0]], requires_grad=True), t64([[0.5, 3.0]], requires_grad=True)
+        y = tz.add(x, w)
+        held = weakref.ref(y.values)
+        z = tz.scale(y, 2.0)
+        del y
+        assert held() is None
+        flow = tz.backward(z)
+        assert np.array_equal(flow[x], [[2.0, 2.0]]) and np.array_equal(flow[w], [[2.0, 2.0]])
+
+    def test_requires_grad_set_after_the_forward(self):
+        x = t64([[0.5, -1.0]], requires_grad=True)
+        y = tz.add(x, x)
+        z = tz.exp(y)
+        y.requires_grad = True
+        flow = tz.backward(z)
+        assert np.array_equal(flow[y], np.exp(y.values)) and np.array_equal(y.grad, flow[y])
+        assert np.array_equal(flow[x], 2.0 * np.exp(y.values))
+        y.requires_grad = False
+        assert list(tz.backward(z)) == [x]
+
     def test_grad_is_owned_and_accumulates_in_place(self):
         # add hands one array to both parents: the first .grad must be a copy
         a, b = t64([1.0, 2.0], requires_grad=True), t64([3.0, 4.0], requires_grad=True)
@@ -257,6 +282,68 @@ class TestBackward:
         out = tz.add(tz.exp(y), y)  # y feeds two paths: d/dx = 2 exp(2x) + 2
         flow = tz.backward(out)
         assert np.allclose(flow[x], 2.0 * np.exp(2.0 * x.values) + 2.0)
+
+
+def _gelu_gradient_oracle(xv, g):
+    """GELU's input gradient as the rule computed it when it closed over
+    the input and tanh, kept as the oracle of the derivative it keeps now."""
+    k = math.sqrt(2.0 / math.pi)
+    c = 0.044715
+    t = xv * xv
+    t *= xv
+    t *= c
+    t += xv
+    t *= k
+    np.tanh(t, out=t)
+    d = t + 1.0
+    d *= 0.5
+    u = t * t
+    np.subtract(1.0, u, out=u)
+    du = xv * 0.5
+    du *= u
+    du *= k
+    np.multiply(xv, 3.0 * c, out=u)
+    u *= xv
+    u += 1.0
+    du *= u
+    du += d
+    du *= g
+    return du
+
+
+class TestGelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 6), (416, 256)])
+    def test_gradient_bitwise_equals_the_tanh_rule(self, shape, dtype):
+        rng = np.random.default_rng(12)
+        x = tz.Tensor(rng.normal(0.0, 2.0, shape).astype(dtype), requires_grad=True)
+        g = rng.normal(size=shape).astype(dtype)
+        out = tz.gelu(x)
+        with tz.no_grad():
+            assert np.array_equal(tz.gelu(x).values, out.values)
+        flow = tz.backward(out, seed=g)
+        assert flow[x].dtype == dtype
+        assert np.array_equal(flow[x], _gelu_gradient_oracle(x.values, g))
+
+    def test_no_grad_records_and_keeps_nothing(self):
+        import tracemalloc
+
+        x = tz.Tensor(np.random.default_rng(13).normal(size=(416, 256)).astype(np.float32), requires_grad=True)
+        for recording in (False, True):
+            tracemalloc.start()
+            try:
+                if recording:
+                    out = tz.gelu(x)
+                else:
+                    with tz.no_grad():
+                        out = tz.gelu(x)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the output alone, or the output and the derivative its rule keeps
+            assert (out._node is not None) == recording
+            assert (2 if recording else 1) * x.values.nbytes <= held < (2.5 if recording else 1.5) * x.values.nbytes
+            del out
 
 
 def _read_only(a):
@@ -297,7 +384,7 @@ class TestBackwardContract:
         out = op(*inputs)
         _read_only(out.values)
         g = _read_only(rng.normal(size=out.values.shape).astype(dtype))
-        grads = out._backward(g)
+        grads = out._node.rule(g)
         assert len(grads) == len(inputs)
         for x, gx in zip(inputs, grads):
             assert gx.shape == x.values.shape
@@ -319,7 +406,7 @@ class TestNoGrad:
         x = t64([[1.0, 2.0]], requires_grad=True)
         with tz.no_grad():
             out = tz.scale(x, 3.0)
-        assert out._parents == () and out._backward is None
+        assert out._node is None
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
