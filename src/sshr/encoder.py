@@ -76,8 +76,8 @@ class StackConfig(Strict):
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One stack position: its kind, the tap feeding it (cross-attention
-    only), and where its parameters come from.
+    """One stack position: its kind (a cross-attention layer reads the tap
+    directly below it) and where its parameters come from.
 
     ``init`` is ``("base", i)`` for position i's own initialization stream,
     ``("copy", i)`` for a bitwise copy of pre-surgery layer i's parameters,
@@ -86,17 +86,20 @@ class LayerSpec:
     """
 
     kind: str
-    source: int | None = None
     init: tuple[str, int] = ("base", 0)
 
 
-def build_stack(cfg: StackConfig, cross_taps=()) -> list[LayerSpec]:
-    """Resolve surgery and cross-attention taps into an ordered layer list.
+def check_taps(cfg: StackConfig, taps):
+    """Tap j routes layer j's posteriors into layer j+1 of the post-surgery
+    stack, so a tap must leave room for that layer and not sit on layer 1."""
+    depth = cfg.surviving_depth
+    if taps and (min(taps) < 2 or max(taps) > depth - 1):
+        raise ConfigError(f"cross taps {list(taps)} outside [2, {depth - 1}]: a tap feeds the layer above it")
 
-    Taps are expressed against the post-surgery stack; tap j routes layer
-    j's posteriors into layer j+1, so a tap must leave room for that next
-    layer and may not sit on layer 1.
-    """
+
+def build_stack(cfg: StackConfig, cross_taps=()) -> list[LayerSpec]:
+    """Resolve surgery and cross-attention taps into an ordered layer list."""
+    check_taps(cfg, cross_taps)
     surgery = cfg.surgery
     if surgery.kind == "delete_last":
         inits = [("base", i) for i in range(1, cfg.depth - surgery.n + 1)]
@@ -110,20 +113,10 @@ def build_stack(cfg: StackConfig, cross_taps=()) -> list[LayerSpec]:
     else:
         inits = [("base", i) for i in range(1, cfg.depth + 1)]
 
-    depth = len(inits)
-    taps = sorted(set(int(j) for j in cross_taps))
-    kinds = ["self_attention"] * depth
-    sources: list[int | None] = [None] * depth
-    for j in taps:
-        if j < 2:
-            raise ConfigError(f"cross tap {j} may not target the first layer")
-        if j + 1 > depth:
-            raise ConfigError(
-                f"cross tap {j} needs layer {j + 1}, but the post-surgery stack has {depth} layers"
-            )
+    kinds = ["self_attention"] * len(inits)
+    for j in cross_taps:
         kinds[j] = "cross_attention"  # position j+1, 0-based index j
-        sources[j] = j
-    return [LayerSpec(kind=k, source=s, init=i) for k, s, i in zip(kinds, sources, inits)]
+    return [LayerSpec(kind=k, init=i) for k, i in zip(kinds, inits)]
 
 
 def self_attention_layer(x: tz.Tensor, p: dict[str, tz.Tensor], n_heads: int, lengths, query=None) -> tz.Tensor:
@@ -146,11 +139,8 @@ def self_attention_layer(x: tz.Tensor, p: dict[str, tz.Tensor], n_heads: int, le
 
 def cross_attention_layer(probs: tz.Tensor, x: tz.Tensor, p: dict[str, tz.Tensor], n_heads: int, lengths) -> tz.Tensor:
     """``self_attention_layer`` with the query Linear(Linear(posterior
-    probs)) of an earlier layer; ``probs`` has one row per row of ``x``."""
-    if probs.values.shape[0] != x.values.shape[0]:
-        raise ConfigError(
-            f"posterior length {probs.values.shape[0]} differs from input length {x.values.shape[0]}"
-        )
+    probs)) of the tap below; ``probs`` has one row per row of ``x``
+    (``multi_head_attention`` rejects a query of another shape)."""
     q = tz.linear(tz.linear(probs, p["wp1"], p["bp1"]), p["wp2"], p["bp2"])
     return self_attention_layer(x, p, n_heads, lengths, query=q)
 

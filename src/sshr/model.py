@@ -11,8 +11,9 @@ each scored posterior.
 A batch runs as one packed forward: the utterances' frames are stacked
 into a (sum T) x F matrix, every row-wise op runs once over all rows, and
 attention and the splice act per utterance. A single utterance is the
-batch of one. ``SshrModel.stages`` is the one layer loop: ``forward`` runs
-it to the end, and the probe advances it one depth at a time.
+batch of one. ``SshrModel.stages`` is the one layer loop, a stream of
+``(output, row counts, tap posterior or None)`` per stage: ``forward``
+collects its taps and adds the final head, and the probe reads its outputs.
 
 Parameters are declared once, in ``SshrModel._allocate``: ``input.*``,
 each layer's ``enc.{i}.*``, ``head_norm.*``, ``head.*``, the order of the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -32,8 +34,8 @@ import numpy as np
 from . import tensor as tz
 from .config import Strict
 from .ctc import Vocabulary, ctc_head, ctc_loss, min_frames
-from .encoder import (StackConfig, allocate_params, build_stack, cross_attention_layer, init_params, init_stream,
-                      layer_layout, self_attention_layer)
+from .encoder import (LayerSpec, StackConfig, allocate_params, build_stack, check_taps, cross_attention_layer,
+                      init_params, init_stream, layer_layout, self_attention_layer)
 from .errors import ConfigError, CorruptDataError, SshrError
 from .files import canonical_json, replacing
 
@@ -67,13 +69,16 @@ class SshrConfig(Strict):
         depth = self.stack.surviving_depth
         if self.lid_extract_layer is not None:
             if not 1 <= self.lid_extract_layer < depth:
-                raise ConfigError(
-                    f"lid_extract_layer {self.lid_extract_layer} outside [1, {depth - 1}]"
-                )
+                raise ConfigError(f"lid_extract_layer {self.lid_extract_layer} outside [1, {depth - 1}]")
             if not self.lid_in_targets:
                 raise ConfigError("lid_extract_layer requires lid_in_targets")
-        if taps and (taps[0] < 2 or taps[-1] > depth - 1):
-            raise ConfigError(f"cross taps {list(taps)} outside [2, {depth - 1}]: a tap feeds the layer above it")
+        check_taps(self.stack, taps)
+
+
+def _blob_bytes(layout) -> int:
+    """Checkpoint bytes of ``(name, shape, ...)`` layout entries: each
+    blob's name length, name, rank and extents, then 4 bytes per value."""
+    return sum(3 + len(name.encode("utf-8")) + 4 * len(shape) + 4 * math.prod(shape) for name, shape, *_ in layout)
 
 
 def default_model_config(vocab: Vocabulary, feature_dim: int, seed: int = 0) -> dict:
@@ -104,7 +109,6 @@ class ForwardOutput:
     final: tz.Tensor
     intermediates: list[tz.Tensor]
     lengths: tuple[int, ...]
-    activations: list[np.ndarray] | None = None
 
 
 def extract_and_splice_lid_frame(x: tz.Tensor, lengths) -> tz.Tensor:
@@ -139,21 +143,33 @@ class SshrModel:
         layout = self._allocate(cfg, dtype)
         init_params(self.params, layout, cfg.seed)
 
-    def _allocate(self, cfg: SshrConfig, dtype) -> list:
+    def _allocate(self, cfg: SshrConfig, dtype, room=None) -> list:
         """Declare every parameter and build it zeroed in the arena; returns
-        the layout for ``init_params``, which ``load_bytes`` never calls."""
+        the layout for ``init_params``, which ``load_bytes`` never calls. A
+        load passes ``room``, its bytes after the config: blobs that cannot
+        fit there raise ``CorruptDataError`` before any layer is built."""
         self.cfg, self.dtype = cfg, dtype
-        self.specs = build_stack(cfg.stack, cfg.cross_taps)
         h, v = cfg.stack.hidden, cfg.vocab.size
-        layouts = [layer_layout(spec, cfg.stack, v) for spec in self.specs]
-        layout = [("input.w", (cfg.feature_dim, h), "normal", "input.w"), ("input.b", (h,), "zeros", "input.b")]
-        for i, (spec, layer) in enumerate(zip(self.specs, layouts), start=1):
-            layout += [(f"enc.{i}.{name}", shape, init, f"{init_stream(spec)}.{name}") for name, shape, init in layer]
+        inputs = [("input.w", (cfg.feature_dim, h), "normal", "input.w"), ("input.b", (h,), "zeros", "input.b")]
         # shared normalization in front of the shared head, so tap and
         # final posteriors see the same input scale (pre-norm stacks leave
         # the residual stream unnormalized)
-        layout += [("head_norm.gain", (h,), "ones", "head_norm.gain"), ("head_norm.bias", (h,), "zeros", "head_norm.bias"),
-                   ("head.w", (h, v), "normal", "head.w"), ("head.b", (v,), "zeros", "head.b")]
+        head = [("head_norm.gain", (h,), "ones", "head_norm.gain"), ("head_norm.bias", (h,), "zeros", "head_norm.bias"),
+                ("head.w", (h, v), "normal", "head.w"), ("head.b", (v,), "zeros", "head.b")]
+        if room is not None:  # the blob count, then each layer under layer 1's names: a bound that builds no layer
+            n_cross = len(cfg.cross_taps)
+            need = 4 + _blob_bytes(inputs + head) + sum(
+                n * _blob_bytes((f"enc.1.{name}", shape) for name, shape, _ in layer_layout(LayerSpec(kind), cfg.stack, v))
+                for kind, n in (("self_attention", cfg.stack.surviving_depth - n_cross), ("cross_attention", n_cross)))
+            if need > room:
+                raise CorruptDataError(f"checkpoint truncated: its config needs at least {need} bytes of parameters, "
+                                       f"it holds {room} ({need - room} short)")
+        self.specs = build_stack(cfg.stack, cfg.cross_taps)
+        layouts = [layer_layout(spec, cfg.stack, v) for spec in self.specs]
+        layout = inputs
+        for i, (spec, layer) in enumerate(zip(self.specs, layouts), start=1):
+            layout += [(f"enc.{i}.{name}", shape, init, f"{init_stream(spec)}.{name}") for name, shape, init in layer]
+        layout += head
         # one arena, so zeroing and the optimizer are whole-vector operations
         self.params, self.flat_values, self.flat_grads = allocate_params(layout, dtype)
         self.layers = [{name: self.params[f"enc.{i}.{name}"] for name, _, _ in layer}
@@ -187,60 +203,47 @@ class SshrModel:
 
         ``features`` stacks the utterances' frames in order, and
         ``lengths`` gives their frame counts (None: a single utterance).
-        Yields each stage's output tensor: first the projected-and-positioned
-        input, then layer d's output for d = 1..depth, taken before the
-        splice when d is the extraction layer. A layer's splice and tap
-        posterior run when the generator is resumed past it, so a consumer
+        Yields ``(x, lengths, tap)`` per stage: the projected-and-positioned
+        input, then layer d's output for d = 1..depth (before the splice
+        when d is the extraction layer), the utterances' row counts in
+        ``x``, and the posterior layer d emits (None off the taps). A tap is
+        held only until the layer above it has read it, and a consumer
         that stops after layer d runs layers 1..d and no head above them.
-        Returns ``(x, lengths, tap posteriors)``: the final layer's output,
-        the utterances' row counts and the tap posteriors in tap order.
         """
         feats = np.asarray(features, dtype=self.dtype)
         if feats.ndim != 2 or feats.shape[1] != self.cfg.feature_dim:
-            raise ConfigError(
-                f"features must be T x {self.cfg.feature_dim}, got {feats.shape}"
-            )
+            raise ConfigError(f"features must be T x {self.cfg.feature_dim}, got {feats.shape}")
         lengths = (feats.shape[0],) if lengths is None else tuple(int(n) for n in lengths)
         if not lengths or min(lengths) < 1 or sum(lengths) != feats.shape[0]:
             raise ConfigError(f"utterance lengths {list(lengths)} must be positive and sum to {feats.shape[0]} frames")
         x = tz.linear(tz.Tensor(feats), self.params["input.w"], self.params["input.b"])
         x = tz.add(x, tz.Tensor(self._positions(lengths)))
-        yield x
-        lid_layer = self.cfg.lid_extract_layer
-        taps = set(self.cfg.cross_taps)
-        posteriors: dict[int, tz.Tensor] = {}
-        heads = self.cfg.stack.heads
+        yield x, lengths, None
+        lid_layer, taps, heads = self.cfg.lid_extract_layer, self.cfg.cross_taps, self.cfg.stack.heads
+        tap = None
         for pos, (spec, lp) in enumerate(zip(self.specs, self.layers), start=1):
             try:
-                if spec.kind == "cross_attention":
-                    x = cross_attention_layer(tz.exp(posteriors[spec.source]), x, lp, heads, lengths)
+                if spec.kind == "cross_attention":  # the layer above tap pos - 1
+                    x = cross_attention_layer(tz.exp(tap), x, lp, heads, lengths)
                 else:
                     x = self_attention_layer(x, lp, heads, lengths)
-                yield x
+                out, out_lengths = x, lengths
                 if lid_layer == pos:
                     x = extract_and_splice_lid_frame(x, lengths)
                     lengths = tuple(n + 1 for n in lengths)
-                if pos in taps:
-                    posteriors[pos] = self._head(x)
+                tap = self._head(x) if pos in taps else None
             except SshrError as err:
                 raise type(err)(f"layer {pos}: {err}") from err
-        return x, lengths, list(posteriors.values())
+            yield out, out_lengths, tap
 
-    def forward(self, features: np.ndarray, retain_activations: bool = False, lengths=None) -> ForwardOutput:
+    def forward(self, features: np.ndarray, lengths=None) -> ForwardOutput:
         """Run packed utterances through every stage of ``stages``; returns
-        posteriors at the final layer and at every tap, plus each stage's
-        output (the activations, index 0 the input) when asked."""
-        run = self.stages(features, lengths)
-        acts = [] if retain_activations else None
-        while True:
-            try:
-                out = next(run)
-            except StopIteration as done:
-                x, lengths, intermediates = done.value
-                break
-            if acts is not None:
-                acts.append(out.values)
-        return ForwardOutput(final=self._head(x), intermediates=intermediates, lengths=lengths, activations=acts)
+        the posteriors at the final layer and at every tap."""
+        intermediates = []
+        for x, lengths, tap in self.stages(features, lengths):
+            if tap is not None:
+                intermediates.append(tap)
+        return ForwardOutput(final=self._head(x), intermediates=intermediates, lengths=lengths)
 
     def ctc_terms(self, n_frames: int, transcript, language) -> list[tuple[int, list[int]]]:
         """The CTC objective of one utterance: ``(rows, targets)`` for the
@@ -343,8 +346,9 @@ class SshrModel:
     @classmethod
     def load_bytes(cls, raw: bytes) -> "SshrModel":
         """Rebuild a model from ``save_bytes`` output. Every field is
-        length-checked: a truncated file, a config that is not JSON,
-        non-finite parameter data or trailing bytes raise
+        length-checked: a truncated file (one too short for its config's
+        parameters fails before they are allocated), a config that is not
+        JSON, non-finite parameter data or trailing bytes raise
         ``CorruptDataError``."""
         view = io.BytesIO(raw)
 
@@ -364,7 +368,7 @@ class SshrModel:
         except ValueError as err:  # not UTF-8 or not JSON
             raise CorruptDataError(f"checkpoint config is not JSON: {err}") from None
         model = cls.__new__(cls)
-        model._allocate(SshrConfig.from_dict(cfg_dict), np.float32)
+        model._allocate(SshrConfig.from_dict(cfg_dict), np.float32, room=len(raw) - view.tell())
         (count,) = read("<I", "blob count")
         if count != len(model.params):
             raise ConfigError(f"checkpoint has {count} blobs, model expects {len(model.params)}")

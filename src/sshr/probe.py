@@ -41,7 +41,7 @@ def _store(act, i: int, start: int, n_frames: int, pooled, frames):
 
 
 def collect_layer_data(model, utterances):
-    """Every depth's activations of the utterances, one forward each.
+    """Every depth's activations of the utterances, one ``stages`` run each.
 
     Returns (pooled, frames, lang_labels, frame_labels): pooled[d] is
     N x H means over the full sequence (language-summary row included via
@@ -49,16 +49,16 @@ def collect_layer_data(model, utterances):
     excluded, aligned with the phoneme labels.
 
     Each layer's two arrays are allocated once, in the activations' dtype,
-    at the first forward, and every utterance's rows are copied in as its
-    forward returns, so the result is the only copy of the activations
-    that outlives a forward. ``probe_all_layers`` holds one depth at a time
-    instead.
+    after the first run, and every utterance's rows are copied in as its
+    run ends, so the result is the only copy of the activations that
+    outlives a run; no final head runs. ``probe_all_layers`` holds one
+    depth at a time instead.
     """
     lang_labels, frame_labels = _labels(model, utterances)
     start = 0
     with tz.no_grad():
         for i, utt in enumerate(utterances):
-            acts = model.forward(utt.features, retain_activations=True).activations
+            acts = [out.values for out, _, _ in model.stages(utt.features)]
             if i == 0:
                 pooled = [np.empty((len(utterances), act.shape[1]), act.dtype) for act in acts]
                 frames = [np.empty((len(frame_labels), act.shape[1]), act.dtype) for act in acts]
@@ -300,9 +300,10 @@ def probe_all_layers(model, utterances, k: int, seed: int, checkpoint_id: str = 
     advance one depth at a time: a depth's activations are copied into one
     pooled and one frame buffer, reused for every depth, and probed before
     the next depth runs. So the probe holds one depth's frames and each
-    utterance's current activation, and stops after the deepest layer
-    asked for, before any layer or head above it. The numbers are those of
-    ``collect_layer_data`` followed by the per-depth probes.
+    utterance's current activation (and its tap posterior, until the layer
+    above reads it), and stops after the deepest layer asked for, before
+    any layer above it. The numbers are those of ``collect_layer_data``
+    followed by the per-depth probes.
     """
     layers = range(model.depth + 1) if layers is None else list(layers)
     for d in layers:
@@ -315,7 +316,7 @@ def probe_all_layers(model, utterances, k: int, seed: int, checkpoint_id: str = 
         for d in range(max(layers, default=-1) + 1):
             start = 0
             for i, (run, utt) in enumerate(zip(runs, utterances)):
-                act = next(run).values
+                act = next(run)[0].values
                 if d == 0 and i == 0:
                     pooled = np.empty((len(utterances), act.shape[1]), act.dtype)
                     frames = np.empty((len(frame_labels), act.shape[1]), act.dtype)

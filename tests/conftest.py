@@ -1,10 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from sshr.ctc import Vocabulary, collapse_frames
 from sshr.datagen import CorpusSpec, default_corpus_spec, generate_corpus
 from sshr.errors import ConfigError
-from sshr.model import SshrConfig, default_model_config
+from sshr.files import canonical_json
+from sshr.model import CHECKPOINT_MAGIC, SshrConfig, default_model_config
 
 
 def tiny_vocab(n_phonemes=5, n_langs=2) -> Vocabulary:
@@ -20,6 +23,15 @@ def tiny_model_config(vocab=None, depth=3, hidden=8, heads=2, ffn=16, feature_di
     cfg["stack"].update({"depth": depth, "hidden": hidden, "heads": heads, "ffn": ffn})
     cfg.update(over)
     return SshrConfig.from_dict(cfg)
+
+
+def oversized_checkpoint(vocab=None, feature_dim=4, **stack) -> bytes:
+    """A checkpoint whose config claims a tiny model's stack with ``stack``
+    values in place, followed by a blob count of 0 and no blobs."""
+    cfg = tiny_model_config(vocab, feature_dim=feature_dim).to_dict()
+    cfg["stack"].update(stack)
+    body = canonical_json(cfg).encode("utf-8")
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(body)) + body + struct.pack("<I", 0)
 
 
 @pytest.fixture(scope="session")

@@ -156,13 +156,14 @@ def test_criterion_4_length_law_and_decode(pinned_runs, default_corpus):
         vocab = model.cfg.vocab
         for utt in test_utts:
             with tz.no_grad():
-                out = model.forward(utt.features, retain_activations=True)
+                out = model.forward(utt.features)
+                acts = [x.values for x, _, _ in model.stages(utt.features)]
             lid = model.cfg.lid_extract_layer
             length_ok &= sum(out.lengths) == utt.n_frames + 1
             length_ok &= out.final.values.shape[0] == utt.n_frames + 1
             length_ok &= all(
                 act.shape[0] == utt.n_frames + (1 if d > lid else 0)
-                for d, act in enumerate(out.activations)
+                for d, act in enumerate(acts)
             )
             decoded = model.decode(utt.features)
             total += 1

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import sshr
-from conftest import tiny_model_config
+from conftest import oversized_checkpoint, tiny_model_config
 from sshr.cli import main
 from sshr.ctc import Vocabulary
 from sshr.datagen import load_corpus_spec
@@ -98,6 +98,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "truncated" in err and "Traceback" not in err
 
+    def test_checkpoint_too_short_for_its_config_exits_1(self, cli_corpus, tmp_path, capsys):
+        spec = load_corpus_spec(cli_corpus / "corpus")
+        path = tmp_path / "wide.sshr"
+        vocab = Vocabulary(spec.phoneme_symbols, spec.language_names)
+        path.write_bytes(oversized_checkpoint(vocab, spec.feature_dim, hidden=2**17, ffn=2**17))
+        cfg = write_json(
+            tmp_path / "eval.json",
+            {"checkpoint": str(path), "corpus_dir": str(cli_corpus / "corpus"), "split": "test"},
+        )
+        assert main(["eval", "--seed", "0", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sshr eval: checkpoint truncated") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_corrupt_manifest_exits_1(self, cli_corpus, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(cli_corpus / "corpus", corpus)
@@ -134,6 +147,16 @@ class TestExitCodes:
         assert main(["train", "--seed", "1", "--out", str(tmp_path / "run"), "--config", path]) == 1
         err = capsys.readouterr().err
         assert str(corpus) in err and "train split" in err and "Traceback" not in err
+
+    def test_empty_dev_split_exits_1_before_any_step(self, cli_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus / "corpus", corpus)
+        (corpus / "manifest.dev.jsonl").write_text("")
+        path = write_json(tmp_path / "cfg.json", small_train_config(corpus))
+        assert main(["train", "--seed", "1", "--out", str(tmp_path / "run"), "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert str(corpus) in err and "dev split" in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
     def test_negative_probe_k_exits_1(self, cli_corpus, tmp_path, capsys):
         spec = load_corpus_spec(cli_corpus / "corpus")

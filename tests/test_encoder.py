@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sshr.model
 from conftest import tiny_model_config
 from sshr import tensor as tz
 from sshr.encoder import (
@@ -102,22 +103,32 @@ class TestBuildStack:
     def test_identity_stack(self):
         specs = build_stack(stack_cfg(depth=6))
         assert len(specs) == 6
-        assert all(s.kind == "self_attention" and s.source is None for s in specs)
+        assert all(s.kind == "self_attention" for s in specs)
 
     def test_sizes_per_surgery(self):
         for kind, n, expected in [("delete_last", 2, 6), ("replace_last_with_middle", 2, 8), ("random_init_last", 2, 8)]:
             specs = build_stack(stack_cfg(depth=8, surgery=Surgery(kind, n)))
             assert len(specs) == expected
 
-    def test_tap_marks_next_layer(self):
+    def test_tap_marks_next_layer(self, monkeypatch):
         specs = build_stack(stack_cfg(depth=8), cross_taps=[5, 7])
-        assert specs[5].kind == "cross_attention" and specs[5].source == 5
-        assert specs[7].kind == "cross_attention" and specs[7].source == 7
-        assert sum(s.kind == "cross_attention" for s in specs) == 2
+        assert [i for i, s in enumerate(specs, start=1) if s.kind == "cross_attention"] == [6, 8]
+        # forward feeds tap j's posterior to the layer above it, j + 1, and to no other
+        model = SshrModel(tiny_model_config(depth=8, cross_taps=[5, 7], loss_weight=0.5))
+        read = []
+        layer = sshr.model.cross_attention_layer
+        monkeypatch.setattr(sshr.model, "cross_attention_layer", lambda probs, *args: read.append(probs) or layer(probs, *args))
+        with tz.no_grad():
+            out = model.forward(np.random.default_rng(0).normal(size=(5, 4)).astype(np.float32))
+        assert len(read) == len(out.intermediates) == 2
+        for probs, tap in zip(read, out.intermediates):
+            assert np.array_equal(probs.values, tz.exp(tap).values)
 
     def test_tap_on_first_layer_rejected(self):
         with pytest.raises(ConfigError):
             build_stack(stack_cfg(depth=8), cross_taps=[1])
+        with pytest.raises(ConfigError, match="outside"):
+            tiny_model_config(depth=8, cross_taps=[1], loss_weight=0.5)
 
     def test_tap_beyond_surviving_depth_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,15 +1,18 @@
 import hashlib
 import importlib.util
 import struct
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import rand_log_softmax, tiny_model_config, tiny_vocab
+from conftest import oversized_checkpoint, rand_log_softmax, tiny_model_config, tiny_vocab
 from sshr import tensor as tz
 from sshr.ctc import ctc_loss, min_frames
-from sshr.errors import ConfigError, CorruptDataError
+from sshr.errors import ConfigError, CorruptDataError, SshrError
 from sshr.evalkit import apply_variant
 from sshr.model import SshrConfig, SshrModel, default_model_config, extract_and_splice_lid_frame, total_loss
 
@@ -184,18 +187,34 @@ class TestForward:
         cfg = tiny_model_config(depth=4, lid_extract_layer=2, lid_in_targets=True, cross_taps=[3], loss_weight=0.5)
         model = SshrModel(cfg)
         t = 9
-        out = model.forward(np.random.default_rng(0).normal(size=(t, 4)).astype(np.float32), retain_activations=True)
-        lengths = [a.shape[0] for a in out.activations]
-        assert lengths == [t + (1 if d > 2 else 0) for d in range(5)]
+        stages = list(model.stages(np.random.default_rng(0).normal(size=(t, 4)).astype(np.float32)))
+        assert [x.values.shape[0] for x, _, _ in stages] == [t + (1 if d > 2 else 0) for d in range(5)]
+        assert [n for _, (n,), _ in stages] == [t + (1 if d > 2 else 0) for d in range(5)]
 
     def test_tap_posteriors_routed(self):
         cfg = tiny_model_config(depth=4, cross_taps=[2, 3], loss_weight=0.5)
         model = SshrModel(cfg)
-        out = model.forward(np.random.default_rng(0).normal(size=(5, 4)).astype(np.float32), retain_activations=True)
+        feats = np.random.default_rng(0).normal(size=(5, 4)).astype(np.float32)
+        out = model.forward(feats)
+        stages = list(model.stages(feats))
+        assert [d for d, (_, _, tap) in enumerate(stages) if tap is not None] == list(cfg.cross_taps)
         assert len(out.intermediates) == 2
         for tap, posterior in zip(cfg.cross_taps, out.intermediates):
-            head = model._head(tz.Tensor(out.activations[tap]))
+            head = model._head(tz.Tensor(stages[tap][0].values))
             assert np.array_equal(posterior.values, head.values)
+            assert np.array_equal(posterior.values, stages[tap][2].values)
+
+    def test_tap_posterior_freed_once_the_layer_above_reads_it(self):
+        cfg = tiny_model_config(depth=4, lid_extract_layer=2, lid_in_targets=True, cross_taps=[2, 3], loss_weight=0.5)
+        model = SshrModel(cfg)
+        refs = {}
+        with tz.no_grad():
+            for d, (_, _, tap) in enumerate(model.stages(np.random.default_rng(0).normal(size=(6, 4)).astype(np.float32))):
+                # layer d has read tap d - 1 and the previous item is dropped
+                assert [j for j, ref in refs.items() if ref() is not None] == []
+                if tap is not None:
+                    refs[d] = weakref.ref(tap)
+        assert sorted(refs) == [2, 3]
 
     def test_feature_width_checked(self):
         model = SshrModel(tiny_model_config())
@@ -414,6 +433,58 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.sshr"]
 
+    @pytest.mark.parametrize("stack", [{"hidden": 1024, "ffn": 1024}, {"hidden": 2**17, "ffn": 2**17}, {"depth": 10**9}],
+                             ids=["width-1024", "width-2^17", "depth-1e9"])
+    def test_load_checks_the_size_before_it_allocates(self, stack):
+        raw = oversized_checkpoint(**stack)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptDataError, match=r"truncated: .* needs at least \d+ bytes .* holds 4 \(\d+ short\)"):
+                SshrModel.load_bytes(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"load_bytes peaked at {peak} bytes"
+
+
+@st.composite
+def mutated_checkpoint(draw, raw: bytes) -> bytes:
+    """``raw`` with a few bytes flipped, cut short, a digit run spliced into
+    its config JSON (the length field kept consistent) or bytes appended."""
+    kind = draw(st.sampled_from(["flip", "truncate", "digits", "append"]))
+    if kind == "flip":
+        out = bytearray(raw)
+        for i in draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4)):
+            out[i] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "append":
+        return raw + draw(st.binary(min_size=1, max_size=64))
+    (cfg_len,) = struct.unpack("<I", raw[5:9])
+    config = raw[9 : 9 + cfg_len]
+    after_digit = [i + 1 for i, c in enumerate(config) if chr(c).isdigit()]
+    at = draw(st.sampled_from(after_digit) | st.integers(0, cfg_len))
+    config = config[:at] + draw(st.text("0123456789", min_size=1, max_size=12)).encode() + config[at:]
+    return raw[:5] + struct.pack("<I", len(config)) + config + raw[9 + cfg_len :]
+
+
+@pytest.fixture(scope="module")
+def c4_checkpoint() -> bytes:
+    return SshrModel(SshrConfig.from_dict(apply_variant(tiny_model_config(depth=6).to_dict(), "C4"))).save_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_bytes_raise_only_sshr_errors(c4_checkpoint, data):
+    # a flipped data byte that stays finite still loads: only a checksum could tell
+    raw = data.draw(mutated_checkpoint(c4_checkpoint))
+    try:
+        model = SshrModel.load_bytes(raw)
+    except SshrError:
+        return
+    assert isinstance(model, SshrModel)
+
 
 class TestParameterArena:
     """Every parameter's values and grad are views of the model's two flat
@@ -520,9 +591,11 @@ class TestPackedEquivalence:
         model = SshrModel(cfg)
         frames = (3, 9, 1)
         feats = np.random.default_rng(0).normal(size=(sum(frames), 4)).astype(np.float32)
-        out = model.forward(feats, retain_activations=True, lengths=frames)
+        out = model.forward(feats, lengths=frames)
         assert out.lengths == (4, 10, 2)
-        assert [a.shape[0] for a in out.activations] == [13, 13, 13, 16, 16]  # layer 2 before the splice
+        stages = list(model.stages(feats, frames))
+        assert [x.values.shape[0] for x, _, _ in stages] == [13, 13, 13, 16, 16]  # layer 2 before the splice
+        assert [n for _, n, _ in stages] == [frames] * 3 + [out.lengths] * 2
         assert out.intermediates[0].values.shape[0] == 16
 
     def test_lengths_must_partition_rows(self):

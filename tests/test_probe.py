@@ -351,7 +351,7 @@ class TestProbePipeline:
         d = model.depth  # after the splice
         pooled, frames, _, frame_labels = collect_layer_data(model, utts[:2])
         with tz.no_grad():
-            whole = [model.forward(utt.features, retain_activations=True).activations[d] for utt in utts[:2]]
+            whole = [list(model.stages(utt.features))[d][0].values for utt in utts[:2]]
         for utt, act in zip(utts[:2], whole):
             assert act.shape[0] == utt.n_frames + 1
         assert np.array_equal(frames[d], np.concatenate([act[1:] for act in whole]))
