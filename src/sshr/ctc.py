@@ -58,6 +58,12 @@ class Vocabulary(Strict):
         except ValueError:
             raise ConfigError(f"unknown language id {language!r}") from None
 
+    def check_languages(self, languages):
+        """Reject the first of ``languages`` this vocabulary has no token for."""
+        for lang in languages:
+            if lang not in self.languages:
+                raise ConfigError(f"utterance language {lang!r} is not one of the checkpoint's languages {list(self.languages)}")
+
     def is_lid(self, token: int) -> bool:
         return self.first_lid_id <= token < self.size
 

@@ -42,7 +42,7 @@ import numpy as np
 from .config import Strict
 from .ctc import collapse_frames
 from .errors import ConfigError, CorruptDataError
-from .files import canonical_json, replacing, write_json, write_text
+from .files import canonical_json, replacing, struct_crc, write_json, write_text
 
 SPLITS = ("train", "dev", "test")
 MAX_TRANSFORM_CONDITION = 1e6
@@ -274,10 +274,6 @@ def generate_corpus(spec: CorpusSpec, out_dir) -> dict:
         write_text(os.path.join(out_dir, f"manifest.{split}.jsonl"), manifest)
         summary["splits"][split] = len(rows)
     return summary
-
-
-def struct_crc(payload: bytes) -> bytes:
-    return (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little")
 
 
 def _verify_crc(path):

@@ -94,8 +94,11 @@ def lid_accuracy(decoded, languages, vocab: Vocabulary) -> float:
 def evaluate_model(model, utterances) -> dict:
     """Greedy-decode a split; returns pooled PER (the headline), the
     per-language rates with their macro average, and LID accuracy when the
-    model scores it."""
+    model scores it, in which case a language the model lacks is rejected
+    before any decode."""
     vocab = model.cfg.vocab
+    if model.cfg.lid_in_targets:
+        vocab.check_languages(utt.lang for utt in utterances)
     refs, hyps, langs = [], [], []
     for utt in utterances:
         refs.append([vocab.phoneme_token(p) for p in utt.transcript])

@@ -1,4 +1,5 @@
-"""The one write path for every output file.
+"""The one write path for every output file, and the CRC32 footer that
+seals feature shards and checkpoints.
 
 A file is written to ``<path>.tmp`` beside its target and then moved over
 it with ``os.replace``, so a process killed mid-write leaves any earlier
@@ -11,11 +12,21 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from contextlib import contextmanager
 
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def struct_crc(*chunks) -> bytes:
+    """The u32 LE CRC32 of the chunks laid end to end; any bytes-like chunk
+    (a memoryview, a contiguous array) is read in place, not copied."""
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    return (crc & 0xFFFFFFFF).to_bytes(4, "little")
 
 
 @contextmanager

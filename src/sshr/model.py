@@ -17,16 +17,15 @@ collects its taps and adds the final head, and the probe reads its outputs.
 
 Parameters are declared once, in ``SshrModel._allocate``: ``input.*``,
 each layer's ``enc.{i}.*``, ``head_norm.*``, ``head.*``, the order of the
-flat arena and of the checkpoint's blobs. Construction then draws the
-initialization into the arena; a checkpoint load reads blobs into it.
+flat arena. Construction draws the initialization into the arena; a
+checkpoint is the config (which fixes the layout) and the arena in one piece.
 """
 
 from __future__ import annotations
 
-import io
+import hashlib
 import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +36,9 @@ from .ctc import Vocabulary, ctc_head, ctc_loss, min_frames
 from .encoder import (LayerSpec, StackConfig, allocate_params, build_stack, check_taps, cross_attention_layer,
                       init_params, init_stream, layer_layout, self_attention_layer)
 from .errors import ConfigError, CorruptDataError, SshrError
-from .files import canonical_json, replacing
+from .files import canonical_json, replacing, struct_crc
 
-CHECKPOINT_MAGIC = b"SSHR1"
+CHECKPOINT_MAGIC = b"SSHR2"
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,31 @@ class SshrConfig(Strict):
         check_taps(self.stack, taps)
 
 
-def _blob_bytes(layout) -> int:
-    """Checkpoint bytes of ``(name, shape, ...)`` layout entries: each
-    blob's name length, name, rank and extents, then 4 bytes per value."""
-    return sum(3 + len(name.encode("utf-8")) + 4 * len(shape) + 4 * math.prod(shape) for name, shape, *_ in layout)
+def _input_and_head(cfg: SshrConfig) -> tuple[list, list]:
+    """The layout entries before and after the layers."""
+    h, v = cfg.stack.hidden, cfg.vocab.size
+    inputs = [("input.w", (cfg.feature_dim, h), "normal", "input.w"), ("input.b", (h,), "zeros", "input.b")]
+    # a shared norm in front of the shared head, so tap and final posteriors see
+    # the same input scale (pre-norm stacks leave the residual stream unnormalized)
+    head = [("head_norm.gain", (h,), "ones", "head_norm.gain"), ("head_norm.bias", (h,), "zeros", "head_norm.bias"),
+            ("head.w", (h, v), "normal", "head.w"), ("head.b", (v,), "zeros", "head.b")]
+    return inputs, head
+
+
+def parameter_count(cfg: SshrConfig) -> int:
+    """The size of ``cfg``'s arena from the declarations ``_allocate``
+    builds, without building the stack: a layer's parameters depend only
+    on its kind, so this is O(1) in depth."""
+    inputs, head = _input_and_head(cfg)
+    n_cross = len(cfg.cross_taps)
+    return sum(math.prod(shape) for _, shape, _, _ in inputs + head) + sum(
+        n * sum(math.prod(shape) for _, shape, _ in layer_layout(LayerSpec(kind), cfg.stack, cfg.vocab.size))
+        for kind, n in (("self_attention", cfg.stack.surviving_depth - n_cross), ("cross_attention", n_cross)))
+
+
+def _layout_digest(params: dict) -> bytes:
+    """sha256 of the parameters' ``[name, shape]`` list in arena order."""
+    return hashlib.sha256(canonical_json([[name, t.values.shape] for name, t in params.items()]).encode()).digest()
 
 
 def default_model_config(vocab: Vocabulary, feature_dim: int, seed: int = 0) -> dict:
@@ -143,29 +163,13 @@ class SshrModel:
         layout = self._allocate(cfg, dtype)
         init_params(self.params, layout, cfg.seed)
 
-    def _allocate(self, cfg: SshrConfig, dtype, room=None) -> list:
+    def _allocate(self, cfg: SshrConfig, dtype) -> list:
         """Declare every parameter and build it zeroed in the arena; returns
-        the layout for ``init_params``, which ``load_bytes`` never calls. A
-        load passes ``room``, its bytes after the config: blobs that cannot
-        fit there raise ``CorruptDataError`` before any layer is built."""
+        the layout for ``init_params``, which ``load_bytes`` never calls."""
         self.cfg, self.dtype = cfg, dtype
-        h, v = cfg.stack.hidden, cfg.vocab.size
-        inputs = [("input.w", (cfg.feature_dim, h), "normal", "input.w"), ("input.b", (h,), "zeros", "input.b")]
-        # shared normalization in front of the shared head, so tap and
-        # final posteriors see the same input scale (pre-norm stacks leave
-        # the residual stream unnormalized)
-        head = [("head_norm.gain", (h,), "ones", "head_norm.gain"), ("head_norm.bias", (h,), "zeros", "head_norm.bias"),
-                ("head.w", (h, v), "normal", "head.w"), ("head.b", (v,), "zeros", "head.b")]
-        if room is not None:  # the blob count, then each layer under layer 1's names: a bound that builds no layer
-            n_cross = len(cfg.cross_taps)
-            need = 4 + _blob_bytes(inputs + head) + sum(
-                n * _blob_bytes((f"enc.1.{name}", shape) for name, shape, _ in layer_layout(LayerSpec(kind), cfg.stack, v))
-                for kind, n in (("self_attention", cfg.stack.surviving_depth - n_cross), ("cross_attention", n_cross)))
-            if need > room:
-                raise CorruptDataError(f"checkpoint truncated: its config needs at least {need} bytes of parameters, "
-                                       f"it holds {room} ({need - room} short)")
+        inputs, head = _input_and_head(cfg)
         self.specs = build_stack(cfg.stack, cfg.cross_taps)
-        layouts = [layer_layout(spec, cfg.stack, v) for spec in self.specs]
+        layouts = [layer_layout(spec, cfg.stack, cfg.vocab.size) for spec in self.specs]
         layout = inputs
         for i, (spec, layer) in enumerate(zip(self.specs, layouts), start=1):
             layout += [(f"enc.{i}.{name}", shape, init, f"{init_stream(spec)}.{name}") for name, shape, init in layer]
@@ -313,28 +317,15 @@ class SshrModel:
         return ctc_greedy_decode(out.final)
 
     # -- checkpoint format ---------------------------------------------
-    # magic "SSHR1", u32 LE config-JSON length, canonical config JSON,
-    # u32 LE blob count, then per parameter (declaration order):
-    #   u16 LE name length, name utf-8, u8 rank, u32 LE extents,
-    #   float32 LE row-major data.
+    # magic "SSHR2", u32 LE config-JSON length, canonical config JSON, the
+    # 32-byte sha256 of the layout's [name, shape] list, ``flat_values`` as
+    # float32 LE, then the u32 LE CRC32 of every byte before it.
 
     def save_bytes(self) -> bytes:
-        buf = io.BytesIO()
-        buf.write(CHECKPOINT_MAGIC)
         cfg_bytes = canonical_json(self.cfg.to_dict()).encode("utf-8")
-        buf.write(struct.pack("<I", len(cfg_bytes)))
-        buf.write(cfg_bytes)
-        buf.write(struct.pack("<I", len(self.params)))
-        for name, t in self.params.items():
-            name_bytes = name.encode("utf-8")
-            buf.write(struct.pack("<H", len(name_bytes)))
-            buf.write(name_bytes)
-            arr = np.ascontiguousarray(t.values, dtype="<f4")
-            buf.write(struct.pack("<B", arr.ndim))
-            for extent in arr.shape:
-                buf.write(struct.pack("<I", extent))
-            buf.write(arr.tobytes())
-        return buf.getvalue()
+        parts = [CHECKPOINT_MAGIC, len(cfg_bytes).to_bytes(4, "little"), cfg_bytes, _layout_digest(self.params),
+                 np.asarray(self.flat_values, dtype="<f4")]
+        return b"".join(parts + [struct_crc(*parts)])
 
     def save(self, path):
         """Write the checkpoint through ``files.replacing``: a crash
@@ -345,49 +336,42 @@ class SshrModel:
 
     @classmethod
     def load_bytes(cls, raw: bytes) -> "SshrModel":
-        """Rebuild a model from ``save_bytes`` output. Every field is
-        length-checked: a truncated file (one too short for its config's
-        parameters fails before they are allocated), a config that is not
-        JSON, non-finite parameter data or trailing bytes raise
-        ``CorruptDataError``."""
-        view = io.BytesIO(raw)
-
-        def read(fmt, what):
-            """Unpack ``fmt`` (raw bytes for ``"<Ns"``) from the next bytes."""
-            n = struct.calcsize(fmt)
-            chunk = view.read(n)
-            if len(chunk) != n:
-                raise CorruptDataError(f"checkpoint truncated in {what}")
-            return struct.unpack(fmt, chunk)
-
-        if read(f"<{len(CHECKPOINT_MAGIC)}s", "magic") != (CHECKPOINT_MAGIC,):
+        """Rebuild a model from ``save_bytes`` output. The config fixes the
+        file's size, checked before anything is allocated. A truncated file,
+        a config that is not JSON, trailing bytes, a failed checksum or
+        non-finite data raise ``CorruptDataError``; another format or a
+        layout other than the config's raises ``ConfigError``."""
+        n = len(CHECKPOINT_MAGIC)
+        if len(raw) >= n and raw[:n] != CHECKPOINT_MAGIC:
+            if raw[: n - 1] == CHECKPOINT_MAGIC[:-1]:
+                raise ConfigError(f"checkpoint format {raw[:n].decode('ascii', 'replace')} is not "
+                                  f"{CHECKPOINT_MAGIC.decode()}, the one this version reads: retrain the model")
             raise ConfigError("not a model checkpoint (bad magic)")
-        (cfg_len,) = read("<I", "config length")
+        start = n + 4 + int.from_bytes(raw[n : n + 4], "little")  # where the layout digest begins
+        if len(raw) < start:  # also when the length field itself is cut
+            raise CorruptDataError("checkpoint truncated in its header or config")
         try:
-            cfg_dict = json.loads(read(f"<{cfg_len}s", "config")[0].decode("utf-8"))
+            cfg_dict = json.loads(raw[n + 4 : start].decode("utf-8"))
         except ValueError as err:  # not UTF-8 or not JSON
             raise CorruptDataError(f"checkpoint config is not JSON: {err}") from None
+        cfg = SshrConfig.from_dict(cfg_dict)
+        count = parameter_count(cfg)
+        need, room = 32 + 4 * count + 4, len(raw) - start
+        if need > room:
+            raise CorruptDataError(f"checkpoint truncated: its config needs at least {need} bytes after it, "
+                                   f"it holds {room} ({need - room} short)")
+        if room > need:
+            raise CorruptDataError(f"checkpoint has {room - need} trailing bytes")
+        if struct_crc(memoryview(raw)[:-4]) != raw[-4:]:
+            raise CorruptDataError("checkpoint checksum mismatch")
         model = cls.__new__(cls)
-        model._allocate(SshrConfig.from_dict(cfg_dict), np.float32, room=len(raw) - view.tell())
-        (count,) = read("<I", "blob count")
-        if count != len(model.params):
-            raise ConfigError(f"checkpoint has {count} blobs, model expects {len(model.params)}")
-        for name, t in model.params.items():
-            (name_len,) = read("<H", f"the name of blob {name!r}")
-            (stored,) = read(f"<{name_len}s", f"the name of blob {name!r}")
-            if stored != name.encode("utf-8"):
-                raise ConfigError(f"checkpoint blob {stored.decode('utf-8', 'replace')!r} does not match parameter {name!r}")
-            (rank,) = read("<B", f"the rank of blob {name!r}")
-            shape = read(f"<{rank}I", f"the shape of blob {name!r}")
-            if shape != t.values.shape:
-                raise ConfigError(f"blob {name!r} shape {shape} != expected {t.values.shape}")
-            (data,) = read(f"<{int(np.prod(shape, dtype=np.int64)) * 4}s", f"the data of blob {name!r}")
-            values = np.frombuffer(data, dtype="<f4").reshape(shape)
-            if not np.isfinite(values).all():
-                raise CorruptDataError(f"checkpoint blob {name!r} holds non-finite values")
-            t.values[...] = values
-        if view.read(1):
-            raise CorruptDataError(f"checkpoint has {len(raw) - view.tell() + 1} trailing bytes")
+        model._allocate(cfg, np.float32)
+        if raw[start : start + 32] != _layout_digest(model.params):
+            raise ConfigError("checkpoint parameter names, order or shapes differ from what its config builds")
+        model.flat_values[...] = np.frombuffer(raw, dtype="<f4", count=count, offset=start + 32)
+        if not np.isfinite(model.flat_values).all():
+            name = next(name for name, t in model.params.items() if not np.isfinite(t.values).all())
+            raise CorruptDataError(f"checkpoint parameter {name!r} holds non-finite values")
         return model
 
     @classmethod

@@ -25,9 +25,7 @@ def _labels(model, utterances):
     languages = model.cfg.vocab.languages
     if not utterances:
         raise ConfigError("no utterances to probe")
-    for utt in utterances:
-        if utt.lang not in languages:
-            raise ConfigError(f"utterance language {utt.lang!r} is not one of the checkpoint's languages {list(languages)}")
+    model.cfg.vocab.check_languages(utt.lang for utt in utterances)
     lang_labels = np.asarray([languages.index(utt.lang) for utt in utterances])
     return lang_labels, np.concatenate([utt.alignment for utt in utterances]).astype(np.int64)
 

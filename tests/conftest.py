@@ -2,11 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sshr.ctc import Vocabulary, collapse_frames
 from sshr.datagen import CorpusSpec, default_corpus_spec, generate_corpus
 from sshr.errors import ConfigError
-from sshr.files import canonical_json
+from sshr.files import canonical_json, struct_crc
 from sshr.model import CHECKPOINT_MAGIC, SshrConfig, default_model_config
 
 
@@ -27,11 +28,31 @@ def tiny_model_config(vocab=None, depth=3, hidden=8, heads=2, ffn=16, feature_di
 
 def oversized_checkpoint(vocab=None, feature_dim=4, **stack) -> bytes:
     """A checkpoint whose config claims a tiny model's stack with ``stack``
-    values in place, followed by a blob count of 0 and no blobs."""
+    values in place, followed by a 4-byte footer and no layout digest or
+    parameters."""
     cfg = tiny_model_config(vocab, feature_dim=feature_dim).to_dict()
     cfg["stack"].update(stack)
     body = canonical_json(cfg).encode("utf-8")
-    return CHECKPOINT_MAGIC + struct.pack("<I", len(body)) + body + struct.pack("<I", 0)
+    return resealed(CHECKPOINT_MAGIC + struct.pack("<I", len(body)) + body + bytes(4))
+
+
+@st.composite
+def mutated_bytes(draw, raw: bytes) -> bytes:
+    """``raw`` with a few bytes flipped, cut short or bytes appended."""
+    kind = draw(st.sampled_from(["flip", "truncate", "append"]))
+    if kind == "flip":
+        out = bytearray(raw)
+        for i in draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4)):
+            out[i] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    return raw + draw(st.binary(min_size=1, max_size=64))
+
+
+def resealed(raw) -> bytes:
+    """``raw`` with its CRC32 footer recomputed over the bytes before it."""
+    return bytes(raw[:-4]) + struct_crc(raw[:-4])
 
 
 @pytest.fixture(scope="session")

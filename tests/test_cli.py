@@ -2,12 +2,13 @@ import ast
 import json
 import shutil
 import struct
+import sys
 from pathlib import Path
 
 import pytest
 
 import sshr
-from conftest import oversized_checkpoint, tiny_model_config
+from conftest import oversized_checkpoint, resealed, tiny_model_config
 from sshr.cli import main
 from sshr.ctc import Vocabulary
 from sshr.datagen import load_corpus_spec
@@ -128,9 +129,9 @@ class TestExitCodes:
 
     def test_non_finite_checkpoint_exits_1(self, cli_corpus, tmp_path, capsys):
         raw = bytearray(SshrModel(tiny_model_config()).save_bytes())
-        raw[-4:] = struct.pack("<f", float("nan"))  # the last value of the last blob, head.b
+        raw[-8:-4] = struct.pack("<f", float("nan"))  # the last value of the arena, head.b's
         path = tmp_path / "nan.sshr"
-        path.write_bytes(bytes(raw))
+        path.write_bytes(resealed(raw))
         cfg = write_json(
             tmp_path / "eval.json",
             {"checkpoint": str(path), "corpus_dir": str(cli_corpus / "corpus"), "split": "test"},
@@ -138,6 +139,17 @@ class TestExitCodes:
         assert main(["eval", "--seed", "0", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "'head.b'" in err and "non-finite" in err and "Traceback" not in err
+
+    def test_checkpoint_of_an_earlier_format_exits_1_asking_for_a_retrain(self, cli_corpus, tmp_path, capsys):
+        path = tmp_path / "old.sshr"
+        path.write_bytes(b"SSHR1" + SshrModel(tiny_model_config()).save_bytes()[5:])
+        cfg = write_json(
+            tmp_path / "eval.json",
+            {"checkpoint": str(path), "corpus_dir": str(cli_corpus / "corpus"), "split": "test"},
+        )
+        assert main(["eval", "--seed", "0", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "SSHR1" in err and "retrain" in err and "Traceback" not in err
 
     def test_empty_train_split_exits_1(self, cli_corpus, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -456,3 +468,20 @@ def test_only_the_files_helper_opens_for_writing():
             if any(not (isinstance(m, ast.Constant) and set(m.value) <= set("rbt")) for m in modes):
                 writers.append(path.name)
     assert writers == ["files.py"]
+
+
+def test_imports_only_numpy_and_the_standard_library():
+    """The package depends only on numpy: every import in ``sshr`` names
+    numpy, ``sshr`` itself or a standard-library module."""
+    foreign = []
+    for path in sorted(Path(sshr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = ["sshr" if node.level else node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [f"{path.name}: {root}" for root in roots
+                        if root not in ("numpy", "sshr") and root not in sys.stdlib_module_names]
+    assert foreign == []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_transcribe
+from conftest import mutated_bytes, oracle_transcribe
 from sshr.ctc import collapse_frames
 from sshr.datagen import (
     CorpusSpec,
@@ -17,9 +17,9 @@ from sshr.datagen import (
     load_corpus_spec,
     load_manifest,
     load_split,
-    struct_crc,
 )
 from sshr.errors import ConfigError, CorruptDataError, SshrError
+from sshr.files import struct_crc
 
 
 # default_corpus_spec keywords -> sha256 of every file generate_corpus
@@ -382,3 +382,25 @@ def test_fuzzed_manifest_rows_raise_only_sshr_errors(fuzz_corpus, data):
             assert np.array_equal(utt.alignment, align[frames : frames + utt.n_frames])
             frames += utt.n_frames
         assert frames * utts[0].feature_dim * 4 == shard.stat().st_size - 4 and frames == len(align)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_shard_bytes_raise_only_sshr_errors(fuzz_corpus, data):
+    name = data.draw(st.sampled_from(["train.feats", "train.align"]))
+    raw = (fuzz_corpus / name).read_bytes()
+    mutated = data.draw(mutated_bytes(raw))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        shutil.copytree(fuzz_corpus, corpus)
+        (corpus / name).write_bytes(mutated)
+        try:
+            utts = load_split(corpus, "train")
+        except SshrError:
+            return
+    # the CRC covers every .feats byte, so only an unchanged feature shard
+    # loads; the .align shard has no checksum, so a flip whose frames still
+    # collapse to each transcript loads
+    assert mutated == raw or (name == "train.align" and len(mutated) == len(raw))
+    for utt in utts:
+        assert collapse_frames(utt.alignment, blank=-1) == list(utt.transcript)

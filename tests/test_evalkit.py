@@ -136,6 +136,17 @@ class TestEvaluateModel:
         }
         assert list(scores["per_by_language"]) == sorted(set(langs))
 
+    def test_language_the_model_lacks_rejected_before_any_decode(self):
+        vocab = tiny_vocab(n_phonemes=4, n_langs=2)
+        utts = [SimpleNamespace(transcript=(0, 1), lang=lang, features=None) for lang in ("L0", "LX", "LY")]
+        model = SimpleNamespace(cfg=SimpleNamespace(vocab=vocab, lid_in_targets=True),
+                                decode=lambda features: pytest.fail("decoded before checking the languages"))
+        with pytest.raises(ConfigError, match=r"'LX' is not one of the checkpoint's languages \['L0', 'L1'\]"):
+            evaluate_model(model, utts)
+        # a model that does not score the language token scores any language's phonemes
+        model = SimpleNamespace(cfg=SimpleNamespace(vocab=vocab, lid_in_targets=False), decode=lambda features: [1, 2])
+        assert evaluate_model(model, utts)["per_by_language"] == {"L0": 0.0, "LX": 0.0, "LY": 0.0}
+
     def test_no_utterances(self):
         model = SimpleNamespace(cfg=SimpleNamespace(vocab=tiny_vocab(), lid_in_targets=False), decode=None)
         with pytest.raises(ConfigError, match="empty reference corpus"):

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oversized_checkpoint, rand_log_softmax, tiny_model_config, tiny_vocab
+from conftest import mutated_bytes, oversized_checkpoint, rand_log_softmax, resealed, tiny_model_config, tiny_vocab
 from sshr import tensor as tz
 from sshr.ctc import ctc_loss, min_frames
 from sshr.errors import ConfigError, CorruptDataError, SshrError
 from sshr.evalkit import apply_variant
-from sshr.model import SshrConfig, SshrModel, default_model_config, extract_and_splice_lid_frame, total_loss
+from sshr.model import (SshrConfig, SshrModel, default_model_config, extract_and_splice_lid_frame, parameter_count,
+                        total_loss)
 
 
 class TestSplice:
@@ -330,19 +331,14 @@ class TestCheckpoint:
         cfg = tiny_model_config(depth=3, lid_extract_layer=1, lid_in_targets=True, cross_taps=[2], loss_weight=0.5)
         return SshrModel(cfg).save_bytes()
 
-    @pytest.mark.parametrize("part", ["magic", "header", "config", "count", "name", "shape", "data"])
+    @pytest.mark.parametrize("part", ["magic", "header", "config", "data"])
     def test_truncation_raises_corrupt_data(self, part):
         raw = self._saved_bytes()
         (cfg_len,) = struct.unpack("<I", raw[5:9])
-        blob = 9 + cfg_len + 4  # the first parameter blob
-        (name_len,) = struct.unpack("<H", raw[blob : blob + 2])
         cut = {
             "magic": 3,
             "header": 7,
             "config": 9 + cfg_len // 2,
-            "count": 9 + cfg_len + 2,
-            "name": blob + 2 + name_len // 2,
-            "shape": blob + 2 + name_len + 1 + 2,
             "data": len(raw) - 3,
         }[part]
         with pytest.raises(CorruptDataError, match="truncated"):
@@ -354,9 +350,32 @@ class TestCheckpoint:
 
     def test_non_finite_blob_raises_corrupt_data(self):
         raw = bytearray(self._saved_bytes())
-        raw[-4:] = struct.pack("<f", float("nan"))
+        raw[-8:-4] = struct.pack("<f", float("nan"))  # the last value of the arena, head.b's
         with pytest.raises(CorruptDataError, match="'head.b'.*non-finite"):
+            SshrModel.load_bytes(resealed(raw))
+
+    def test_checksum_mismatch_raises_corrupt_data(self):
+        raw = bytearray(self._saved_bytes())
+        raw[-8] ^= 1  # a data byte that stays finite
+        with pytest.raises(CorruptDataError, match="checksum"):
             SshrModel.load_bytes(bytes(raw))
+
+    def test_layout_mismatch_raises_config_error(self):
+        raw = bytearray(self._saved_bytes())
+        (cfg_len,) = struct.unpack("<I", raw[5:9])
+        raw[9 + cfg_len] ^= 1  # the first byte of the layout digest
+        with pytest.raises(ConfigError, match="names, order or shapes"):
+            SshrModel.load_bytes(resealed(raw))
+
+    def test_earlier_format_names_its_version_and_asks_for_a_retrain(self):
+        raw = b"SSHR1" + self._saved_bytes()[5:]
+        with pytest.raises(ConfigError, match="format SSHR1 .* retrain"):
+            SshrModel.load_bytes(raw)
+
+    @pytest.mark.parametrize("variant", ["B0", "C1", "C2", "C3", "C4", "D2", "D3", "E1", "E2", "E3", "F2"])
+    def test_parameter_count_is_the_arena_size(self, variant):
+        cfg = SshrConfig.from_dict(apply_variant(tiny_model_config(depth=8).to_dict(), variant))
+        assert parameter_count(cfg) == SshrModel(cfg).flat_values.size
 
     def test_non_json_config_raises_corrupt_data(self):
         raw = self._saved_bytes()
@@ -377,10 +396,10 @@ class TestCheckpoint:
 
     # sha256 of the initial checkpoint of each variant's tiny config, seed 0
     PINNED = {
-        "B0": "427e372aa2427edace8c4bac341d933ad7ed8f5d9ef904af31d7e0b26e87b6d8",
-        "C4": "ceb0ab51adf0d3dcd7eb8b3da58b53e9fed1dcffbe6acddf09cdbb3edd449812",
-        "E1": "8e3fba43d289ab7ddb6635c2d4eeaf85758a0af9a62cb5aef22e1bda548392fc",
-        "E2": "6fccc164966c46b9256ebc82fa65bb0d86b21a73bb38201c29837867fdfa3844",
+        "B0": "df39e34c8a504cd7c4f08ae4a9e956497cd54b629cda94ac13e33eab2a92e7ff",
+        "C4": "d118f2b5c73e6be66b43f1a995e1b30abf5b021b3998705f049afabcad014f3d",
+        "E1": "08934018c35d7214cd8963b31ce26fd7a6708d9de262c60dbeb2a8ec811dc0ac",
+        "E2": "add196186fc425186fd5b85b46c5d3d71ad3bd81fb294363731b1b95c2ad14be",
     }
 
     @pytest.mark.parametrize("variant", sorted(PINNED))
@@ -449,18 +468,10 @@ class TestCheckpoint:
 
 @st.composite
 def mutated_checkpoint(draw, raw: bytes) -> bytes:
-    """``raw`` with a few bytes flipped, cut short, a digit run spliced into
-    its config JSON (the length field kept consistent) or bytes appended."""
-    kind = draw(st.sampled_from(["flip", "truncate", "digits", "append"]))
-    if kind == "flip":
-        out = bytearray(raw)
-        for i in draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4)):
-            out[i] ^= draw(st.integers(1, 255))
-        return bytes(out)
-    if kind == "truncate":
-        return raw[: draw(st.integers(0, len(raw) - 1))]
-    if kind == "append":
-        return raw + draw(st.binary(min_size=1, max_size=64))
+    """``mutated_bytes`` of ``raw``, or ``raw`` with a digit run spliced
+    into its config JSON (the length field kept consistent)."""
+    if draw(st.integers(0, 3)):
+        return draw(mutated_bytes(raw))
     (cfg_len,) = struct.unpack("<I", raw[5:9])
     config = raw[9 : 9 + cfg_len]
     after_digit = [i + 1 for i, c in enumerate(config) if chr(c).isdigit()]
@@ -477,13 +488,14 @@ def c4_checkpoint() -> bytes:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_fuzzed_checkpoint_bytes_raise_only_sshr_errors(c4_checkpoint, data):
-    # a flipped data byte that stays finite still loads: only a checksum could tell
+    # every byte is under the checksum, so only the unchanged file loads
+    # (two flips of one byte can cancel)
     raw = data.draw(mutated_checkpoint(c4_checkpoint))
     try:
-        model = SshrModel.load_bytes(raw)
+        SshrModel.load_bytes(raw)
     except SshrError:
         return
-    assert isinstance(model, SshrModel)
+    assert raw == c4_checkpoint
 
 
 class TestParameterArena:
