@@ -5,7 +5,7 @@ cross-attention taps) and layer-wise representation probing tools."""
 __version__ = "0.1.0"
 
 from .ctc import Vocabulary, ctc_brute_force, ctc_greedy_decode, ctc_loss
-from .datagen import CorpusSpec, Utterance, default_corpus_spec, generate_corpus, load_manifest
+from .datagen import CorpusSpec, Utterance, default_corpus_spec, generate_corpus, load_split
 from .encoder import LayerSpec, StackConfig, Surgery, build_stack
 from .errors import ConfigError, CorruptDataError, CtcInfeasibleError, NonFiniteError, SshrError
 from .model import ForwardOutput, SshrConfig, SshrModel, total_loss
@@ -18,5 +18,5 @@ __all__ = [
     "Vocabulary", "ctc_loss", "ctc_brute_force", "ctc_greedy_decode",
     "StackConfig", "Surgery", "LayerSpec", "build_stack",
     "SshrConfig", "SshrModel", "ForwardOutput", "total_loss",
-    "CorpusSpec", "Utterance", "default_corpus_spec", "generate_corpus", "load_manifest",
+    "CorpusSpec", "Utterance", "default_corpus_spec", "generate_corpus", "load_split",
 ]

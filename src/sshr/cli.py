@@ -157,7 +157,8 @@ def _utc_now() -> str:
 
 
 class _Run:
-    """Collects the manifest for one CLI invocation."""
+    """Collects the manifest for one CLI invocation. It creates ``--out``,
+    so a command builds it only once its flags and configs have passed."""
 
     def __init__(self, command: str, seed: int, out_dir: str):
         self.command = command
@@ -186,19 +187,18 @@ class _Run:
 
 
 def cmd_datagen(args) -> int:
-    run = _Run("datagen", args.seed, args.out)
     raw = _load_json(args.config) if args.config else {}
     kwargs = strict_args(default_corpus_spec, raw, "corpus")
     if "seed" in raw:
         raise ConfigError("corpus.seed is set by --seed")
     kwargs["counts"] = {**DEFAULT_COUNTS, **kwargs["counts"]}  # splits left out keep their default
-    run.resolved_config = {**kwargs, "seed": args.seed}
-    summary = generate_corpus(default_corpus_spec(**run.resolved_config), args.out)
-    for split in summary["splits"]:
-        run.record(os.path.join(args.out, f"manifest.{split}.jsonl"))
-        run.record(os.path.join(args.out, f"{split}.feats"))
-        run.record(os.path.join(args.out, f"{split}.align"))
-    run.record(os.path.join(args.out, "corpus.json"))
+    resolved = {**kwargs, "seed": args.seed}
+    spec = default_corpus_spec(**resolved)
+    run = _Run("datagen", args.seed, args.out)
+    run.resolved_config = resolved
+    summary = generate_corpus(spec, args.out)
+    for path in summary["files"]:
+        run.record(path)
     run.finish()
     log.info("datagen: wrote %s", summary["splits"])
     return 0
@@ -221,9 +221,8 @@ def _resolve_train_sections(raw, seed: int):
 
 
 def cmd_train(args) -> int:
+    model_cfg, train_cfg, corpus_dir = _resolve_train_sections(_load_json(args.config), args.seed)
     run = _Run("train", args.seed, args.out)
-    raw = _load_json(args.config)
-    model_cfg, train_cfg, corpus_dir = _resolve_train_sections(raw, args.seed)
     run.resolved_config = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "data": {"corpus_dir": corpus_dir}}
     summary = train(model_cfg, train_cfg, corpus_dir, args.out)
     run.record(summary["checkpoint"])
@@ -247,8 +246,8 @@ def _load_scored(cfg: _EvalFile):
 
 
 def cmd_eval(args) -> int:
-    run = _Run("eval", args.seed, args.out)
     cfg = _EvalFile.from_dict(_load_json(args.config), "config")
+    run = _Run("eval", args.seed, args.out)
     run.resolved_config = cfg.to_dict()
     model, utts = _load_scored(cfg)
     scores = evaluate_model(model, utts)
@@ -264,8 +263,8 @@ def cmd_eval(args) -> int:
 def cmd_probe(args) -> int:
     if args.k < 0:
         raise ConfigError("--k must be >= 0")
-    run = _Run("probe", args.seed, args.out)
     cfg = _EvalFile.from_dict(_load_json(args.config), "config")
+    run = _Run("probe", args.seed, args.out)
     model, utts = _load_scored(cfg)
     k = args.k if args.k > 0 else 4 * len(model.cfg.vocab.phonemes)
     run.resolved_config = {**cfg.to_dict(), "k": k, "layer": args.layer}
@@ -294,9 +293,7 @@ def _load_ladder(name_or_path) -> list[_LadderEntry]:
 
 
 def cmd_ablate(args) -> int:
-    run = _Run("ablate", args.seed, args.out)
-    raw = _load_json(args.config)
-    model_cfg, train_cfg, corpus_dir = _resolve_train_sections(raw, args.seed)
+    model_cfg, train_cfg, corpus_dir = _resolve_train_sections(_load_json(args.config), args.seed)
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
     if args.jobs < 1:
@@ -309,6 +306,7 @@ def cmd_ablate(args) -> int:
         for e in _load_ladder(args.ladder)
     ]
     train_cfg = train_cfg.to_dict()
+    run = _Run("ablate", args.seed, args.out)
     run.resolved_config = {
         "ladder": [{"id": vid, "model": cfg} for vid, cfg in ladder],
         "train": train_cfg,

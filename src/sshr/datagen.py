@@ -10,10 +10,14 @@ On-disk layout per corpus directory:
 
 * ``corpus.json`` - generator spec, prototypes and transforms included.
 * ``manifest.<split>.jsonl`` - one object per utterance with keys
-  id/lang/n_frames/transcript/feat_file/offset_bytes.
+  id/lang/n_frames/transcript.
 * ``<split>.feats`` - raw little-endian float32, row-major T x F per
-  utterance, in manifest order; CRC32 footer (4 bytes LE) over the payload.
+  utterance, in manifest order.
 * ``<split>.align`` - parallel little-endian uint16 phoneme ids per frame.
+
+Both shards end in the ``files.struct_crc`` footer over their payload. A
+row's place in them is the sum of the frames of the rows above it, so the
+manifest names neither shard nor offset.
 
 Generation draws one PRNG stream per utterance,
 ``SeedSequence([seed, 0xD0, language, split, index])``, so parallel
@@ -34,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -42,7 +45,7 @@ import numpy as np
 from .config import Strict
 from .ctc import collapse_frames
 from .errors import ConfigError, CorruptDataError
-from .files import canonical_json, replacing, struct_crc, write_json, write_text
+from .files import canonical_json, replacing, struct_crc, unsealed, write_json, write_text
 
 SPLITS = ("train", "dev", "test")
 MAX_TRANSFORM_CONDITION = 1e6
@@ -231,20 +234,20 @@ def _sample_utterance(spec: CorpusSpec, lang: LanguageSpec, ids: np.ndarray, rea
 
 
 def generate_corpus(spec: CorpusSpec, out_dir) -> dict:
-    """Write the corpus to ``out_dir``; byte-identical for identical specs."""
+    """Write the corpus to ``out_dir``; byte-identical for identical specs.
+    Returns the utterance count per split and the paths written."""
     os.makedirs(out_dir, exist_ok=True)
-    write_json(os.path.join(out_dir, "corpus.json"), spec.to_dict())
-    summary = {"out_dir": str(out_dir), "splits": {}}
+    written = [os.path.join(out_dir, "corpus.json")]
+    write_json(written[0], spec.to_dict())
+    summary = {"out_dir": str(out_dir), "splits": {}, "files": written}
     tables = [(np.asarray(lang.phoneme_ids, dtype="<u2"), lang.realized_prototypes()) for lang in spec.languages]
     for split_idx, split in enumerate(SPLITS):
         count = spec.counts.get(split, 0)
         if count == 0:
             continue
-        feat_name = f"{split}.feats"
         rows = []
         feat_payload = bytearray()
         align_payload = bytearray()
-        offset = 0
         for lang_idx, (lang, (ids, realized)) in enumerate(zip(spec.languages, tables)):
             for k in range(count):
                 rng = np.random.default_rng(
@@ -257,43 +260,19 @@ def generate_corpus(spec: CorpusSpec, out_dir) -> dict:
                         "lang": lang.name,
                         "n_frames": int(features.shape[0]),
                         "transcript": " ".join(spec.phoneme_symbols[p] for p in transcript),
-                        "feat_file": feat_name,
-                        "offset_bytes": offset,
                     }
                 )
-                blob = features.tobytes()
-                feat_payload.extend(blob)
+                feat_payload.extend(features.tobytes())
                 align_payload.extend(alignment.tobytes())
-                offset += len(blob)
-        with replacing(os.path.join(out_dir, feat_name), "wb") as fh:
-            fh.write(feat_payload)
-            fh.write(struct_crc(feat_payload))
-        with replacing(os.path.join(out_dir, f"{split}.align"), "wb") as fh:
-            fh.write(align_payload)
-        manifest = "".join(canonical_json(row) + "\n" for row in rows)
-        write_text(os.path.join(out_dir, f"manifest.{split}.jsonl"), manifest)
+        for ext, payload in (("feats", feat_payload), ("align", align_payload)):
+            written.append(os.path.join(out_dir, f"{split}.{ext}"))
+            with replacing(written[-1], "wb") as fh:
+                fh.write(payload)
+                fh.write(struct_crc(payload))
+        written.append(os.path.join(out_dir, f"manifest.{split}.jsonl"))
+        write_text(written[-1], "".join(canonical_json(row) + "\n" for row in rows))
         summary["splits"][split] = len(rows)
     return summary
-
-
-def _verify_crc(path):
-    crc = 0
-    size = os.path.getsize(path)
-    if size < 4:
-        raise CorruptDataError(f"{path}: too small to hold a checksum")
-    payload = size - 4
-    with open(path, "rb") as fh:
-        remaining = payload
-        while remaining > 0:
-            chunk = fh.read(min(1 << 20, remaining))
-            if not chunk:
-                raise CorruptDataError(f"{path}: unexpected end of file")
-            crc = zlib.crc32(chunk, crc)
-            remaining -= len(chunk)
-        stored = int.from_bytes(fh.read(4), "little")
-    if (crc & 0xFFFFFFFF) != stored:
-        raise CorruptDataError(f"{path}: checksum mismatch")
-    return payload
 
 
 def load_corpus_spec(corpus_dir) -> CorpusSpec:
@@ -305,26 +284,30 @@ def load_corpus_spec(corpus_dir) -> CorpusSpec:
         raise ConfigError(f"{path}: {err}") from None
 
 
-def load_manifest(manifest_path) -> list[Utterance]:
+def load_split(corpus_dir, split: str) -> list[Utterance]:
     """Load one split; features stay on disk until accessed.
 
-    The rows walk one shard pair, the first row's ``feat_file`` and its
-    ``.align``, in order from byte 0 with one frame cursor, and every byte
-    of both shards belongs to exactly one row. Verifies the feature shard
-    checksum and that each alignment collapses to its transcript. Corrupt
-    data names the offending utterance or shard, and a row that is not a
-    manifest object of known languages and phoneme symbols, with a
-    positive integer ``n_frames``, an integer ``offset_bytes`` and a
-    nonempty transcript, on the split's shard, names its line.
+    The rows of ``manifest.<split>.jsonl`` walk the split's shards,
+    ``<split>.feats`` and ``<split>.align``, in order from byte 0 with one
+    frame cursor, and every payload byte of both belongs to exactly one
+    row. Verifies both shards' checksums and that each alignment collapses
+    to its transcript. Corrupt data names the offending utterance or shard,
+    and a row that is not a manifest object of known languages and phoneme
+    symbols, with a positive integer ``n_frames`` and a nonempty
+    transcript, names its line.
     """
-    corpus_dir = os.path.dirname(os.path.abspath(manifest_path))
     spec = load_corpus_spec(corpus_dir)
     symbol_to_id = {s: i for i, s in enumerate(spec.phoneme_symbols)}
     languages = set(spec.language_names)
     f_dim = spec.feature_dim
+    manifest_path = os.path.join(corpus_dir, f"manifest.{split}.jsonl")
+    feat_path, align_path = (os.path.join(corpus_dir, f"{split}.{ext}") for ext in ("feats", "align"))
+    with open(feat_path, "rb") as fh:
+        feat_size = len(unsealed(fh.read(), feat_path))  # read for the checksum; features load lazily
+    with open(align_path, "rb") as fh:
+        align_data = unsealed(fh.read(), align_path)
     utterances: list[Utterance] = []
-    shard = None  # the first row's feat_file, which every row must name
-    frames = 0  # frames of the shard pair the rows so far cover
+    frames = 0  # frames of the shards the rows so far cover
     with open(manifest_path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -333,12 +316,9 @@ def load_manifest(manifest_path) -> list[Utterance]:
             where = f"{manifest_path} line {line_no}"
             try:
                 row = json.loads(line)
-                utt_id, lang, feat_file = row["id"], row["lang"], row["feat_file"]
-                if shard is None or feat_file != shard:  # the first row, or a row on another shard
-                    feat_path = os.path.join(corpus_dir, feat_file)
-                n_frames, offset = row["n_frames"], row["offset_bytes"]
-                if type(n_frames) is not int or type(offset) is not int:  # no bool, float or string
-                    raise TypeError(f"n_frames {n_frames!r} and offset_bytes {offset!r} must be JSON integers")
+                utt_id, lang, n_frames = row["id"], row["lang"], row["n_frames"]
+                if type(n_frames) is not int:  # no bool, float or string
+                    raise TypeError(f"n_frames {n_frames!r} must be a JSON integer")
                 symbols = row["transcript"].split()
             except (ValueError, KeyError, TypeError, AttributeError) as err:
                 raise CorruptDataError(f"{where}: malformed row ({type(err).__name__}: {err})") from None
@@ -351,17 +331,8 @@ def load_manifest(manifest_path) -> list[Utterance]:
             transcript = tuple([symbol_to_id.get(s, -1) for s in symbols])
             if -1 in transcript:
                 raise CorruptDataError(f"{where}: unknown phoneme symbol {symbols[transcript.index(-1)]!r}")
-            if shard is None:
-                shard, payload_size = feat_file, _verify_crc(feat_path)
-                align_path = os.path.splitext(feat_path)[0] + ".align"
-                with open(align_path, "rb") as afh:
-                    align_data = afh.read()
-            elif feat_file != shard:
-                raise CorruptDataError(f"{where}: feat_file {feat_file!r} is not the split's shard {shard!r}")
-            start = frames * f_dim * 4  # where the rows above end
-            if offset != start:
-                raise CorruptDataError(f"utterance {utt_id}: offset_bytes {offset}, but the rows above end at byte {start}")
-            if start + n_frames * f_dim * 4 > payload_size:
+            offset = frames * f_dim * 4  # where the rows above end
+            if offset + n_frames * f_dim * 4 > feat_size:
                 raise CorruptDataError(f"utterance {utt_id}: byte range outside shard payload")
             align_bytes = align_data[2 * frames : 2 * (frames + n_frames)]
             if len(align_bytes) != n_frames * 2:
@@ -382,14 +353,7 @@ def load_manifest(manifest_path) -> list[Utterance]:
                     feature_dim=f_dim,
                 )
             )
-    if shard is not None:
-        for path, size, covered in ((feat_path, payload_size, frames * f_dim * 4),
-                                    (align_path, len(align_data), frames * 2)):
-            if size != covered:
-                raise CorruptDataError(f"{path}: {size} data bytes, but the manifest's utterances cover {covered}")
+    for path, size, covered in ((feat_path, feat_size, frames * f_dim * 4), (align_path, len(align_data), frames * 2)):
+        if size != covered:
+            raise CorruptDataError(f"{path}: {size} data bytes, but the manifest's utterances cover {covered}")
     return utterances
-
-
-def load_split(corpus_dir, split: str) -> list[Utterance]:
-    return load_manifest(os.path.join(corpus_dir, f"manifest.{split}.jsonl"))
-

@@ -1,5 +1,5 @@
 """The one write path for every output file, and the CRC32 footer that
-seals feature shards and checkpoints.
+seals corpus shards and checkpoints.
 
 A file is written to ``<path>.tmp`` beside its target and then moved over
 it with ``os.replace``, so a process killed mid-write leaves any earlier
@@ -15,6 +15,8 @@ import os
 import zlib
 from contextlib import contextmanager
 
+from .errors import CorruptDataError
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -27,6 +29,18 @@ def struct_crc(*chunks) -> bytes:
     for chunk in chunks:
         crc = zlib.crc32(chunk, crc)
     return (crc & 0xFFFFFFFF).to_bytes(4, "little")
+
+
+def unsealed(raw, what) -> memoryview:
+    """The bytes of ``raw`` before its ``struct_crc`` footer, viewed in
+    place; ``CorruptDataError`` naming ``what`` if the footer is missing or
+    does not match."""
+    if len(raw) < 4:
+        raise CorruptDataError(f"{what}: too small to hold a checksum")
+    payload = memoryview(raw)[:-4]
+    if struct_crc(payload) != raw[-4:]:
+        raise CorruptDataError(f"{what}: checksum mismatch")
+    return payload
 
 
 @contextmanager

@@ -36,7 +36,7 @@ from .ctc import Vocabulary, ctc_head, ctc_loss, min_frames
 from .encoder import (LayerSpec, StackConfig, allocate_params, build_stack, check_taps, cross_attention_layer,
                       init_params, init_stream, layer_layout, self_attention_layer)
 from .errors import ConfigError, CorruptDataError, SshrError
-from .files import canonical_json, replacing, struct_crc
+from .files import canonical_json, replacing, struct_crc, unsealed
 
 CHECKPOINT_MAGIC = b"SSHR2"
 
@@ -362,8 +362,7 @@ class SshrModel:
                                    f"it holds {room} ({need - room} short)")
         if room > need:
             raise CorruptDataError(f"checkpoint has {room - need} trailing bytes")
-        if struct_crc(memoryview(raw)[:-4]) != raw[-4:]:
-            raise CorruptDataError("checkpoint checksum mismatch")
+        unsealed(raw, "checkpoint")
         model = cls.__new__(cls)
         model._allocate(cfg, np.float32)
         if raw[start : start + 32] != _layout_digest(model.params):

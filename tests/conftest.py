@@ -50,6 +50,19 @@ def mutated_bytes(draw, raw: bytes) -> bytes:
     return raw + draw(st.binary(min_size=1, max_size=64))
 
 
+def shifted_boundary(align: bytes, nth: int = 0, earlier: bool = True) -> bytes:
+    """An ``.align`` shard whose ``nth`` phoneme boundary moved by one frame
+    (the next phoneme starting ``earlier`` or later), under the old footer.
+    Inside an utterance the frames still collapse to its transcript."""
+    frames = np.frombuffer(align[:-4], dtype="<u2").copy()
+    b = np.flatnonzero(frames[1:] != frames[:-1])[nth]
+    if earlier:
+        frames[b] = frames[b + 1]
+    else:
+        frames[b + 1] = frames[b]
+    return frames.tobytes() + align[-4:]
+
+
 def resealed(raw) -> bytes:
     """``raw`` with its CRC32 footer recomputed over the bytes before it."""
     return bytes(raw[:-4]) + struct_crc(raw[:-4])

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import sshr
-from conftest import oversized_checkpoint, resealed, tiny_model_config
+from conftest import oversized_checkpoint, resealed, shifted_boundary, tiny_model_config
 from sshr.cli import main
 from sshr.ctc import Vocabulary
 from sshr.datagen import load_corpus_spec
+from sshr.files import struct_crc
 from sshr.model import SshrModel
 
 
@@ -34,6 +35,17 @@ def small_train_config(corpus_dir):
         "train": {"steps": 4, "eval_interval": 2, "checkpoint_interval": 4, "batch_size": 4},
         "data": {"corpus_dir": str(corpus_dir)},
     }
+
+
+def empty_split_corpus(cli_corpus, tmp_path, split):
+    """A copy of the CLI corpus whose ``split`` has no rows and shards that
+    hold only the footer over no payload."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(cli_corpus / "corpus", corpus)
+    (corpus / f"manifest.{split}.jsonl").write_text("")
+    for ext in ("feats", "align"):
+        (corpus / f"{split}.{ext}").write_bytes(struct_crc(b""))
+    return corpus
 
 
 class TestExitCodes:
@@ -152,23 +164,61 @@ class TestExitCodes:
         assert "SSHR1" in err and "retrain" in err and "Traceback" not in err
 
     def test_empty_train_split_exits_1(self, cli_corpus, tmp_path, capsys):
-        corpus = tmp_path / "corpus"
-        shutil.copytree(cli_corpus / "corpus", corpus)
-        (corpus / "manifest.train.jsonl").write_text("")
+        corpus = empty_split_corpus(cli_corpus, tmp_path, "train")
         path = write_json(tmp_path / "cfg.json", small_train_config(corpus))
         assert main(["train", "--seed", "1", "--out", str(tmp_path / "run"), "--config", path]) == 1
         err = capsys.readouterr().err
         assert str(corpus) in err and "train split" in err and "Traceback" not in err
 
     def test_empty_dev_split_exits_1_before_any_step(self, cli_corpus, tmp_path, capsys):
-        corpus = tmp_path / "corpus"
-        shutil.copytree(cli_corpus / "corpus", corpus)
-        (corpus / "manifest.dev.jsonl").write_text("")
+        corpus = empty_split_corpus(cli_corpus, tmp_path, "dev")
         path = write_json(tmp_path / "cfg.json", small_train_config(corpus))
         assert main(["train", "--seed", "1", "--out", str(tmp_path / "run"), "--config", path]) == 1
         err = capsys.readouterr().err
         assert str(corpus) in err and "dev split" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+    def test_empty_manifest_beside_full_shards_exits_1(self, cli_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus / "corpus", corpus)
+        (corpus / "manifest.train.jsonl").write_text("")
+        path = write_json(tmp_path / "cfg.json", small_train_config(corpus))
+        assert main(["train", "--seed", "1", "--out", str(tmp_path / "run"), "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "train.feats: " in err and "data bytes, but the manifest's utterances cover 0" in err
+
+    @pytest.mark.parametrize("alter", [
+        lambda raw: raw[:-4],  # a corpus written before the .align footer
+        shifted_boundary,
+    ], ids=["unsealed", "boundary_shifted_one_frame"])
+    def test_altered_alignment_shard_exits_1(self, cli_corpus, tmp_path, capsys, alter):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus / "corpus", corpus)
+        align = corpus / "test.align"
+        align.write_bytes(alter(align.read_bytes()))
+        spec = load_corpus_spec(corpus)
+        path = tmp_path / "m.sshr"
+        SshrModel(tiny_model_config(Vocabulary(spec.phoneme_symbols, spec.language_names), spec.feature_dim)).save(path)
+        cfg = write_json(tmp_path / "eval.json", {"checkpoint": str(path), "corpus_dir": str(corpus), "split": "test"})
+        assert main(["eval", "--seed", "0", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"sshr eval: {align}: checksum mismatch\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["datagen", "--config", "{missing}"],
+        ["train", "--config", "{missing}"],
+        ["eval", "--config", "{missing}"],
+        ["probe", "--config", "{missing}"],
+        ["ablate", "--config", "{missing}"],
+        ["ablate", "--seeds", "0", "--config", "{cfg}"],
+        ["ablate", "--jobs", "0", "--config", "{cfg}"],
+        ["probe", "--k", "-1", "--config", "{missing}"],
+    ], ids=["datagen", "train", "eval", "probe", "ablate", "ablate_seeds_0", "ablate_jobs_0", "probe_k_negative"])
+    def test_rejected_invocation_writes_nothing(self, cli_corpus, tmp_path, argv):
+        cfg = write_json(tmp_path / "cfg.json", small_train_config(cli_corpus / "corpus"))
+        argv = [arg.format(missing=tmp_path / "missing.json", cfg=cfg) for arg in argv]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+        assert not (tmp_path / "run").exists()
 
     def test_negative_probe_k_exits_1(self, cli_corpus, tmp_path, capsys):
         spec = load_corpus_spec(cli_corpus / "corpus")
@@ -303,6 +353,13 @@ class TestDeterminism:
         ma.pop("started_at"), ma.pop("finished_at")
         mb.pop("started_at"), mb.pop("finished_at")
         assert ma == mb
+
+    def test_datagen_outputs_are_the_files_it_wrote(self, tmp_path):
+        cfg = write_json(tmp_path / "c.json", {"counts": {"train": 2, "dev": 1, "test": 1}})
+        out = tmp_path / "corpus"
+        assert main(["datagen", "--seed", "2", "--out", str(out), "--config", cfg]) == 0
+        outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+        assert outputs == sorted(p.name for p in out.iterdir() if p.name != "run_manifest.json")
 
     def test_train_twice_identical(self, cli_corpus, tmp_path):
         corpus = cli_corpus / "corpus"
@@ -485,3 +542,8 @@ def test_imports_only_numpy_and_the_standard_library():
             foreign += [f"{path.name}: {root}" for root in roots
                         if root not in ("numpy", "sshr") and root not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in sshr.__all__ if not hasattr(sshr, name)]
+    assert missing == [] and len(set(sshr.__all__)) == len(sshr.__all__)
