@@ -2,9 +2,13 @@
 
 Subcommands: ``datagen``, ``train``, ``eval``, ``probe``, ``ablate``,
 ``gradcheck``. Exit codes: 0 success, 1 validation error, 2 runtime
-failure. All randomness flows from ``--seed``; every run writes one
-``run_manifest.json`` (the only output allowed to differ between identical
-runs, via its timestamps). ``SSHR_LOG`` picks the log level.
+failure. All randomness flows from ``--seed``. A command creates ``--out``
+when it writes its first output, so an invocation rejected for its flags,
+configs, checkpoint or corpus writes nothing. Once the command returns,
+``main`` writes ``run_manifest.json`` (the only output allowed to differ
+between identical runs, via its timestamps); a run that fails midway
+keeps its outputs so far, with no run manifest. ``SSHR_LOG`` picks the
+log level.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import zip_longest
+from typing import NamedTuple
 
 from . import __version__
 from .config import Strict, overlay, strict_args, typed
@@ -156,52 +161,26 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-class _Run:
-    """Collects the manifest for one CLI invocation. It creates ``--out``,
-    so a command builds it only once its flags and configs have passed."""
+class Outcome(NamedTuple):
+    """What a command resolved and wrote, and its exit code. The command
+    creates ``--out`` with its first output; ``main`` adds the run
+    manifest."""
 
-    def __init__(self, command: str, seed: int, out_dir: str):
-        self.command = command
-        self.seed = seed
-        self.out_dir = out_dir
-        self.started = _utc_now()
-        self.outputs: list[str] = []
-        self.resolved_config: dict = {}
-        os.makedirs(out_dir, exist_ok=True)
-
-    def record(self, path) -> str:
-        self.outputs.append(os.path.relpath(path, self.out_dir))
-        return path
-
-    def finish(self):
-        manifest = {
-            "command": self.command,
-            "seed": self.seed,
-            "version": __version__,
-            "resolved_config": self.resolved_config,
-            "started_at": self.started,
-            "finished_at": _utc_now(),
-            "outputs": sorted(self.outputs),
-        }
-        write_json(os.path.join(self.out_dir, "run_manifest.json"), manifest)
+    resolved_config: dict
+    outputs: list
+    code: int = 0
 
 
-def cmd_datagen(args) -> int:
+def cmd_datagen(args) -> Outcome:
     raw = _load_json(args.config) if args.config else {}
     kwargs = strict_args(default_corpus_spec, raw, "corpus")
     if "seed" in raw:
         raise ConfigError("corpus.seed is set by --seed")
     kwargs["counts"] = {**DEFAULT_COUNTS, **kwargs["counts"]}  # splits left out keep their default
     resolved = {**kwargs, "seed": args.seed}
-    spec = default_corpus_spec(**resolved)
-    run = _Run("datagen", args.seed, args.out)
-    run.resolved_config = resolved
-    summary = generate_corpus(spec, args.out)
-    for path in summary["files"]:
-        run.record(path)
-    run.finish()
+    summary = generate_corpus(default_corpus_spec(**resolved), args.out)
     log.info("datagen: wrote %s", summary["splits"])
-    return 0
+    return Outcome(resolved, summary["files"])
 
 
 def _resolve_train_sections(raw, seed: int):
@@ -220,16 +199,12 @@ def _resolve_train_sections(raw, seed: int):
     return model_cfg, train_cfg, cfg.data.corpus_dir
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> Outcome:
     model_cfg, train_cfg, corpus_dir = _resolve_train_sections(_load_json(args.config), args.seed)
-    run = _Run("train", args.seed, args.out)
-    run.resolved_config = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "data": {"corpus_dir": corpus_dir}}
     summary = train(model_cfg, train_cfg, corpus_dir, args.out)
-    run.record(summary["checkpoint"])
-    run.record(summary["metrics"])
-    run.finish()
     log.info("train: final checkpoint %s, last eval %s", summary["checkpoint"], summary["last_eval"])
-    return 0
+    resolved = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "data": {"corpus_dir": corpus_dir}}
+    return Outcome(resolved, [summary["checkpoint"], summary["metrics"]])
 
 
 def _load_scored(cfg: _EvalFile):
@@ -245,37 +220,28 @@ def _load_scored(cfg: _EvalFile):
     return model, utts
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> Outcome:
     cfg = _EvalFile.from_dict(_load_json(args.config), "config")
-    run = _Run("eval", args.seed, args.out)
-    run.resolved_config = cfg.to_dict()
     model, utts = _load_scored(cfg)
-    scores = evaluate_model(model, utts)
-    payload = {"split": cfg.split, "n_utterances": len(utts), **scores}
+    payload = {"split": cfg.split, "n_utterances": len(utts), **evaluate_model(model, utts)}
+    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "eval.json")
     write_json(out_path, payload)
-    run.record(out_path)
-    run.finish()
     log.info("eval: %s", payload)
-    return 0
+    return Outcome(cfg.to_dict(), [out_path])
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> Outcome:
     if args.k < 0:
         raise ConfigError("--k must be >= 0")
     cfg = _EvalFile.from_dict(_load_json(args.config), "config")
-    run = _Run("probe", args.seed, args.out)
     model, utts = _load_scored(cfg)
     k = args.k if args.k > 0 else 4 * len(model.cfg.vocab.phonemes)
-    run.resolved_config = {**cfg.to_dict(), "k": k, "layer": args.layer}
     report = probe_all_layers(model, utts, k=k, seed=args.seed, checkpoint_id=cfg.checkpoint,
                               probe_set_id=cfg.split, layers=None if args.layer is None else [args.layer])
     json_path, csv_path = write_report(report, args.out)
-    run.record(json_path)
-    run.record(csv_path)
-    run.finish()
     log.info("probe: wrote %s", csv_path)
-    return 0
+    return Outcome({**cfg.to_dict(), "k": k, "layer": args.layer}, [json_path, csv_path])
 
 
 def _load_ladder(name_or_path) -> list[_LadderEntry]:
@@ -292,7 +258,7 @@ def _load_ladder(name_or_path) -> list[_LadderEntry]:
     ]
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args) -> Outcome:
     model_cfg, train_cfg, corpus_dir = _resolve_train_sections(_load_json(args.config), args.seed)
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
@@ -306,38 +272,44 @@ def cmd_ablate(args) -> int:
         for e in _load_ladder(args.ladder)
     ]
     train_cfg = train_cfg.to_dict()
-    run = _Run("ablate", args.seed, args.out)
-    run.resolved_config = {
+    results = run_ablation(ladder, seeds, corpus_dir, args.out, train_cfg, jobs=args.jobs)
+    log.info("ablate: %d runs finished", len(results))
+    resolved = {
         "ladder": [{"id": vid, "model": cfg} for vid, cfg in ladder],
         "train": train_cfg,
         "data": {"corpus_dir": corpus_dir},
         "seeds": seeds,
         "jobs": args.jobs,
     }
-    results = run_ablation(ladder, seeds, corpus_dir, args.out, train_cfg, jobs=args.jobs)
-    run.record(os.path.join(args.out, "ablation.csv"))
-    run.record(os.path.join(args.out, "summary.json"))
-    run.finish()
-    log.info("ablate: %d runs finished", len(results))
-    return 0
+    return Outcome(resolved, [os.path.join(args.out, name) for name in ("ablation.csv", "summary.json")])
 
 
-def cmd_gradcheck(args) -> int:
-    run = _Run("gradcheck", args.seed, args.out)
+def cmd_gradcheck(args) -> Outcome:
     report = gradcheck_suite(seed=args.seed)
-    run.resolved_config = {"seed": args.seed}
+    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "gradcheck.json")
     write_json(out_path, report)
-    run.record(out_path)
-    run.finish()
     for name, entry in sorted(report["checks"].items()):
         log.info("gradcheck %-24s rel_err=%.3g %s", name, entry["max_rel_err"],
                  "ok" if entry["passed"] else "FAIL")
     if not report["all_passed"]:
         log.error("gradcheck: worst relative error %.3g exceeds %.1g", report["worst_rel_err"], report["tolerance"])
-        return 2
-    log.info("gradcheck: all checks passed (worst %.3g)", report["worst_rel_err"])
-    return 0
+    else:
+        log.info("gradcheck: all checks passed (worst %.3g)", report["worst_rel_err"])
+    return Outcome({"seed": args.seed}, [out_path], 0 if report["all_passed"] else 2)
+
+
+def _write_run_manifest(args, started_at: str, outcome: Outcome):
+    manifest = {
+        "command": args.command,
+        "seed": args.seed,
+        "version": __version__,
+        "resolved_config": outcome.resolved_config,
+        "started_at": started_at,
+        "finished_at": _utc_now(),
+        "outputs": sorted(os.path.relpath(path, args.out) for path in outcome.outputs),
+    }
+    write_json(os.path.join(args.out, "run_manifest.json"), manifest)
 
 
 def main(argv=None) -> int:
@@ -354,7 +326,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError("--seed must be a non-negative integer")
-        return args.func(args)
+        started_at = _utc_now()
+        outcome = args.func(args)
+        _write_run_manifest(args, started_at, outcome)
+        return outcome.code
     except (ConfigError, CorruptDataError) as err:
         print(f"sshr {args.command}: {err}", file=sys.stderr)
         return 1

@@ -50,6 +50,7 @@ from .files import canonical_json, replacing, struct_crc, unsealed, write_json, 
 SPLITS = ("train", "dev", "test")
 MAX_TRANSFORM_CONDITION = 1e6
 DEFAULT_COUNTS = {"train": 200, "dev": 40, "test": 40}  # utterances per language
+_ROW_KEYS = {"id", "lang", "n_frames", "transcript"}  # a manifest row's keys, all required
 
 
 @dataclass(frozen=True)
@@ -292,9 +293,10 @@ def load_split(corpus_dir, split: str) -> list[Utterance]:
     frame cursor, and every payload byte of both belongs to exactly one
     row. Verifies both shards' checksums and that each alignment collapses
     to its transcript. Corrupt data names the offending utterance or shard,
-    and a row that is not a manifest object of known languages and phoneme
-    symbols, with a positive integer ``n_frames`` and a nonempty
-    transcript, names its line.
+    and a row names its line unless it is a manifest object of exactly the
+    keys ``id``, ``lang``, ``n_frames`` and ``transcript``, with a string
+    ``id`` that no earlier row has, known language and phoneme symbols, a
+    positive integer ``n_frames`` and a nonempty transcript.
     """
     spec = load_corpus_spec(corpus_dir)
     symbol_to_id = {s: i for i, s in enumerate(spec.phoneme_symbols)}
@@ -307,6 +309,7 @@ def load_split(corpus_dir, split: str) -> list[Utterance]:
     with open(align_path, "rb") as fh:
         align_data = unsealed(fh.read(), align_path)
     utterances: list[Utterance] = []
+    id_lines: dict[str, int] = {}  # each id's manifest line
     frames = 0  # frames of the shards the rows so far cover
     with open(manifest_path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -319,9 +322,17 @@ def load_split(corpus_dir, split: str) -> list[Utterance]:
                 utt_id, lang, n_frames = row["id"], row["lang"], row["n_frames"]
                 if type(n_frames) is not int:  # no bool, float or string
                     raise TypeError(f"n_frames {n_frames!r} must be a JSON integer")
+                if type(utt_id) is not str:
+                    raise TypeError(f"id {utt_id!r} must be a JSON string")
                 symbols = row["transcript"].split()
             except (ValueError, KeyError, TypeError, AttributeError) as err:
                 raise CorruptDataError(f"{where}: malformed row ({type(err).__name__}: {err})") from None
+            unknown = row.keys() - _ROW_KEYS
+            if unknown:
+                raise CorruptDataError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
+            if utt_id in id_lines:
+                raise CorruptDataError(f"{where}: id {utt_id!r} is already on line {id_lines[utt_id]}")
+            id_lines[utt_id] = line_no
             if n_frames < 1:
                 raise CorruptDataError(f"{where}: n_frames {n_frames} is not positive")
             if not symbols:

@@ -124,11 +124,11 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
     """
     cfg = model_cfg if isinstance(model_cfg, SshrConfig) else SshrConfig.from_dict(model_cfg)
     tcfg = train_cfg if isinstance(train_cfg, TrainConfig) else TrainConfig.from_dict(train_cfg)
-    os.makedirs(out_dir, exist_ok=True)
     train_utts, dev_utts = load_split(corpus_dir, "train"), load_split(corpus_dir, "dev")
     for split, utts in (("train", train_utts), ("dev", dev_utts)):
         if not utts:
             raise ConfigError(f"corpus {corpus_dir}: the {split} split has no utterances")
+    os.makedirs(out_dir, exist_ok=True)
     model = SshrModel(cfg)
     state = AdamState(model.flat_values)
     rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed & 0xFFFFFFFF, 0xA1]))

@@ -37,6 +37,10 @@ def small_train_config(corpus_dir):
     }
 
 
+def train_config(cli_corpus, tmp_path):
+    return write_json(tmp_path / "cfg.json", small_train_config(cli_corpus / "corpus"))
+
+
 def empty_split_corpus(cli_corpus, tmp_path, split):
     """A copy of the CLI corpus whose ``split`` has no rows and shards that
     hold only the footer over no payload."""
@@ -46,6 +50,16 @@ def empty_split_corpus(cli_corpus, tmp_path, split):
     for ext in ("feats", "align"):
         (corpus / f"{split}.{ext}").write_bytes(struct_crc(b""))
     return corpus
+
+
+def scoring_config(cli_corpus, tmp_path, extra_phonemes=()):
+    """An eval/probe config that scores the CLI corpus's test split with a
+    tiny checkpoint of its vocabulary plus ``extra_phonemes``."""
+    spec = load_corpus_spec(cli_corpus / "corpus")
+    vocab = Vocabulary(spec.phoneme_symbols + tuple(extra_phonemes), spec.language_names)
+    path = tmp_path / "m.sshr"
+    SshrModel(tiny_model_config(vocab=vocab, feature_dim=spec.feature_dim)).save(path)
+    return write_json(tmp_path / "eval.json", {"checkpoint": str(path), "corpus_dir": str(cli_corpus / "corpus")})
 
 
 class TestExitCodes:
@@ -204,20 +218,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"sshr eval: {align}: checksum mismatch\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["datagen", "--config", "{missing}"],
-        ["train", "--config", "{missing}"],
-        ["eval", "--config", "{missing}"],
-        ["probe", "--config", "{missing}"],
-        ["ablate", "--config", "{missing}"],
-        ["ablate", "--seeds", "0", "--config", "{cfg}"],
-        ["ablate", "--jobs", "0", "--config", "{cfg}"],
-        ["probe", "--k", "-1", "--config", "{missing}"],
-    ], ids=["datagen", "train", "eval", "probe", "ablate", "ablate_seeds_0", "ablate_jobs_0", "probe_k_negative"])
-    def test_rejected_invocation_writes_nothing(self, cli_corpus, tmp_path, argv):
-        cfg = write_json(tmp_path / "cfg.json", small_train_config(cli_corpus / "corpus"))
-        argv = [arg.format(missing=tmp_path / "missing.json", cfg=cfg) for arg in argv]
-        assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+    @pytest.mark.parametrize("argv,code", [
+        (lambda c, t: ["datagen", "--config", str(t / "missing.json")], 1),
+        (lambda c, t: ["train", "--config", str(t / "missing.json")], 1),
+        (lambda c, t: ["eval", "--config", str(t / "missing.json")], 1),
+        (lambda c, t: ["probe", "--config", str(t / "missing.json")], 1),
+        (lambda c, t: ["ablate", "--config", str(t / "missing.json")], 1),
+        (lambda c, t: ["ablate", "--seeds", "0", "--config", train_config(c, t)], 1),
+        (lambda c, t: ["ablate", "--jobs", "0", "--config", train_config(c, t)], 1),
+        (lambda c, t: ["probe", "--k", "-1", "--config", str(t / "missing.json")], 1),
+        (lambda c, t: ["eval", "--config", scoring_config(c, t, ["p99"])], 1),
+        (lambda c, t: ["probe", "--k", "4", "--config", scoring_config(c, t, ["p99"])], 1),
+        (lambda c, t: ["eval", "--config", write_json(t / "eval.json", {
+            "checkpoint": str(t / "missing.sshr"), "corpus_dir": str(c / "corpus")})], 2),
+        (lambda c, t: ["probe", "--k", "4", "--layer", "99", "--config", scoring_config(c, t)], 1),
+        (lambda c, t: ["train", "--config", write_json(t / "cfg.json", small_train_config(
+            empty_split_corpus(c, t, "dev")))], 1),
+        (lambda c, t: ["ablate", "--seeds", "1", "--config", train_config(c, t),
+                       "--ladder", write_json(t / "ladder.json", [{"id": "../x", "variant": "B0"}])], 1),
+    ], ids=["datagen", "train", "eval", "probe", "ablate", "ablate_seeds_0", "ablate_jobs_0", "probe_k_negative",
+            "eval_another_inventory", "probe_another_inventory", "eval_missing_checkpoint", "probe_layer_99",
+            "train_empty_dev", "ablate_id_escapes"])
+    def test_rejected_invocation_writes_nothing(self, cli_corpus, tmp_path, argv, code):
+        assert main(argv(cli_corpus, tmp_path) + ["--out", str(tmp_path / "run")]) == code
         assert not (tmp_path / "run").exists()
 
     def test_negative_probe_k_exits_1(self, cli_corpus, tmp_path, capsys):
@@ -242,15 +265,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["eval", "probe"])
     def test_checkpoint_of_another_phoneme_inventory_exits_1(self, command, cli_corpus, tmp_path, capsys):
-        spec = load_corpus_spec(cli_corpus / "corpus")
-        vocab = Vocabulary(spec.phoneme_symbols + ("p99",), spec.language_names)
-        path = tmp_path / "m.sshr"
-        SshrModel(tiny_model_config(vocab=vocab, feature_dim=spec.feature_dim)).save(path)
-        cfg = write_json(tmp_path / "eval.json", {"checkpoint": str(path), "corpus_dir": str(cli_corpus / "corpus")})
+        cfg = scoring_config(cli_corpus, tmp_path, ["p99"])
         assert main([command] + ["--k", "4"] * (command == "probe") + ["--out", str(tmp_path / "run"), "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert f"phoneme {len(spec.phoneme_symbols)} is 'p99' in the checkpoint but None in" in err
-        assert "Traceback" not in err and not any((tmp_path / "run").iterdir())
+        n_phonemes = len(load_corpus_spec(cli_corpus / "corpus").phoneme_symbols)
+        assert f"phoneme {n_phonemes} is 'p99' in the checkpoint but None in" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.json", "m.sshr"]
 
     def test_zero_ablate_jobs_exits_1(self, cli_corpus, tmp_path, capsys):
         path = write_json(tmp_path / "cfg.json", small_train_config(cli_corpus / "corpus"))
@@ -287,6 +307,15 @@ class TestWorkflow:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["command"] == "gradcheck" and manifest["seed"] == 7
         assert "gradcheck.json" in manifest["outputs"]
+
+    def test_failed_gradcheck_exits_2_keeping_its_report(self, tmp_path, monkeypatch):
+        report = {"checks": {"add": {"max_rel_err": 0.5, "passed": False}}, "all_passed": False,
+                  "worst_rel_err": 0.5, "tolerance": 1e-4}
+        monkeypatch.setattr("sshr.cli.gradcheck_suite", lambda seed: report)
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--seed", "7", "--out", str(out)]) == 2
+        assert json.loads((out / "gradcheck.json").read_text()) == report
+        assert json.loads((out / "run_manifest.json").read_text())["outputs"] == ["gradcheck.json"]
 
     def test_train_eval_probe_round_trip(self, cli_corpus, tmp_path):
         corpus = cli_corpus / "corpus"
@@ -408,9 +437,7 @@ class TestAblateCli:
         assert main(["ablate", "--seed", "1", "--seeds", "1", "--out", str(out),
                      "--config", cfg_path, "--ladder", ladder]) == 1
         assert f"ladder id {ladder_id!r}" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ab", "ab.json", "ladder.json"]
-        assert [p.name for p in (tmp_path / "ab").iterdir()] == ["out"]
-        assert list(out.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ab.json", "ladder.json"]
 
 
 def set_at(doc, path, value):

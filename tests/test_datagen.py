@@ -188,8 +188,12 @@ class TestLoading:
         (lambda row: json.dumps({**row, "n_frames": row["n_frames"] + 0.9}), "malformed row"),
         (lambda row: json.dumps({**row, "n_frames": float(row["n_frames"])}), "malformed row"),
         (lambda row: json.dumps({**row, "n_frames": True}), "malformed row"),
+        (lambda row: json.dumps({**row, "id": 5}), "malformed row .*id 5 must be a JSON string"),
+        (lambda row: json.dumps({**row, "id": "L0-dev-0000"}), "id 'L0-dev-0000' is already on line 1"),
+        (lambda row: json.dumps({**row, "offset_bytes": 999}), r"unknown key\(s\) offset_bytes"),
     ], ids=["not_json", "unknown_symbol", "missing_key", "unknown_language", "no_frames_no_phonemes",
-            "negative_frames", "empty_transcript", "fractional_frames", "float_frames", "bool_frames"])
+            "negative_frames", "empty_transcript", "fractional_frames", "float_frames", "bool_frames",
+            "integer_id", "repeated_id", "leftover_key"])
     def test_malformed_manifest_row_names_line(self, tmp_path, bad_row, message):
         generate_corpus(small_spec(), tmp_path)
         manifest = tmp_path / "manifest.dev.jsonl"
