@@ -2,7 +2,9 @@
 
 Subcommands: ``datagen``, ``train``, ``eval``, ``probe``, ``ablate``,
 ``gradcheck``. Exit codes: 0 success, 1 validation error, 2 runtime
-failure. All randomness flows from ``--seed``. A command creates ``--out``
+failure; ``ablate`` exits 2 when any of its runs failed, and
+``gradcheck`` when any check failed, both keeping their reports and run
+manifest. All randomness flows from ``--seed``. A command creates ``--out``
 when it writes its first output, so an invocation rejected for its flags,
 configs, checkpoint or corpus writes nothing. Once the command returns,
 ``main`` writes ``run_manifest.json`` (the only output allowed to differ
@@ -204,7 +206,7 @@ def cmd_train(args) -> Outcome:
     summary = train(model_cfg, train_cfg, corpus_dir, args.out)
     log.info("train: final checkpoint %s, last eval %s", summary["checkpoint"], summary["last_eval"])
     resolved = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "data": {"corpus_dir": corpus_dir}}
-    return Outcome(resolved, [summary["checkpoint"], summary["metrics"]])
+    return Outcome(resolved, summary["files"])
 
 
 def _load_scored(cfg: _EvalFile):
@@ -272,8 +274,10 @@ def cmd_ablate(args) -> Outcome:
         for e in _load_ladder(args.ladder)
     ]
     train_cfg = train_cfg.to_dict()
-    results = run_ablation(ladder, seeds, corpus_dir, args.out, train_cfg, jobs=args.jobs)
-    log.info("ablate: %d runs finished", len(results))
+    ablation = run_ablation(ladder, seeds, corpus_dir, args.out, train_cfg, jobs=args.jobs)
+    log.info("ablate: %d runs finished", len(ablation.results))
+    if ablation.failures:
+        log.error("ablate: %d runs failed, listed in summary.json", len(ablation.failures))
     resolved = {
         "ladder": [{"id": vid, "model": cfg} for vid, cfg in ladder],
         "train": train_cfg,
@@ -281,7 +285,7 @@ def cmd_ablate(args) -> Outcome:
         "seeds": seeds,
         "jobs": args.jobs,
     }
-    return Outcome(resolved, [os.path.join(args.out, name) for name in ("ablation.csv", "summary.json")])
+    return Outcome(resolved, ablation.files, 2 if ablation.failures else 0)
 
 
 def cmd_gradcheck(args) -> Outcome:

@@ -14,6 +14,7 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .config import overlay
 from .ctc import Vocabulary
@@ -195,7 +196,16 @@ def primary_reference(variant: str):
     return value, table
 
 
-def run_ablation(ladder, seeds, corpus_dir, out_dir, train_cfg: dict, jobs: int = 1) -> list[ExperimentResult]:
+class Ablation(NamedTuple):
+    """A ladder's finished runs in ladder order, its failed runs, and every
+    file it wrote."""
+
+    results: list[ExperimentResult]
+    failures: list[dict]
+    files: list[str]
+
+
+def run_ablation(ladder, seeds, corpus_dir, out_dir, train_cfg: dict, jobs: int = 1) -> Ablation:
     """Train and evaluate every (variant, seed) pair; failures are recorded
     per variant and do not stop the remaining runs.
 
@@ -204,8 +214,18 @@ def run_ablation(ladder, seeds, corpus_dir, out_dir, train_cfg: dict, jobs: int 
     a repeated id, or one that is not a single plain path component (empty,
     ``.``, ``..``, holding a separator, absolute), is a ``ConfigError``
     before any run starts.
+
+    Seed k is both the model seed and the training seed of its runs, so
+    each seed draws its own initialisation; ``config_hash`` stays the hash
+    of the ladder entry's config. With ``jobs > 1`` the runs go to a pool
+    of spawned workers, which start from a fresh import and read the BLAS
+    thread variables from the environment. A spawned worker re-imports the
+    calling script, so a script that calls this with ``jobs > 1`` must do so
+    under ``if __name__ == "__main__":``; without that guard every run is
+    recorded as a failure.
     """
     from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
     from .trainer import run_single_experiment  # local import: trainer uses these metrics
 
@@ -224,9 +244,10 @@ def run_ablation(ladder, seeds, corpus_dir, out_dir, train_cfg: dict, jobs: int 
 
     results: list[ExperimentResult] = []
     failures: list[dict] = []
-    args = [(cfg, dict(train_cfg, seed=seed), corpus_dir, run_dir) for _, seed, cfg, run_dir in tasks]
+    files: list[str] = []
+    args = [(dict(cfg, seed=seed), dict(train_cfg, seed=seed), corpus_dir, run_dir) for _, seed, cfg, run_dir in tasks]
     # one call per task, in task order: a pool future's result, or the run itself
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) if jobs > 1 else nullcontext() as pool:
         calls = [
             pool.submit(run_single_experiment, *a).result if pool else partial(run_single_experiment, *a)
             for a in args
@@ -237,6 +258,7 @@ def run_ablation(ladder, seeds, corpus_dir, out_dir, train_cfg: dict, jobs: int 
             except Exception as err:  # noqa: BLE001 - per-variant isolation
                 failures.append({"variant": variant, "seed": seed, "error": str(err)})
                 continue
+            files += outcome["files"]
             results.append(
                 ExperimentResult(
                     variant=variant,
@@ -250,12 +272,14 @@ def run_ablation(ladder, seeds, corpus_dir, out_dir, train_cfg: dict, jobs: int 
 
     order = {v: i for i, v in enumerate(variant_ids)}
     results.sort(key=lambda r: (order[r.variant], r.seed))
-    write_ablation_report(results, failures, variant_ids, out_dir)
-    return results
+    files += write_ablation_report(results, failures, variant_ids, out_dir)
+    return Ablation(results, failures, files)
 
 
-def write_ablation_report(results, failures, ladder, out_dir):
-    with replacing(os.path.join(out_dir, "ablation.csv")) as fh:
+def write_ablation_report(results, failures, ladder, out_dir) -> list[str]:
+    """Write ``ablation.csv`` and ``summary.json``; returns their paths."""
+    csv_path, summary_path = os.path.join(out_dir, "ablation.csv"), os.path.join(out_dir, "summary.json")
+    with replacing(csv_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "seed", "dev_per", "test_per", "lid_acc", "paper_ref_value", "paper_ref_table"])
         for r in results:
@@ -299,4 +323,5 @@ def write_ablation_report(results, failures, ladder, out_dir):
             # toy-scale relative change vs the ladder's first row, context only
             entry["relative_change_vs_baseline"] = (baseline_mean - mean) / baseline_mean
         summary["variants"][variant] = entry
-    write_json(os.path.join(out_dir, "summary.json"), summary)
+    write_json(summary_path, summary)
+    return [csv_path, summary_path]

@@ -118,9 +118,9 @@ def _backward_step(model: SshrModel, utts) -> float:
 def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
     """Run fine-tuning; writes checkpoints and metrics.jsonl into out_dir.
 
-    Returns a summary with the final checkpoint path, last dev metrics (and
-    the unrounded final dev scores), and the count of skipped infeasible
-    utterances.
+    Returns a summary with the final checkpoint path, every file written
+    (``files``), last dev metrics (and the unrounded final dev scores), and
+    the count of skipped infeasible utterances.
     """
     cfg = model_cfg if isinstance(model_cfg, SshrConfig) else SshrConfig.from_dict(model_cfg)
     tcfg = train_cfg if isinstance(train_cfg, TrainConfig) else TrainConfig.from_dict(train_cfg)
@@ -137,6 +137,7 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     metrics = ""  # the log so far; the file is rewritten whole, never left half a line
     write_text(metrics_path, metrics)
+    files = [metrics_path]
     skipped = 0
     losses_since_eval: list[float] = []
     last_eval: dict = {}
@@ -162,12 +163,14 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
             metrics += json.dumps(last_eval, sort_keys=True) + "\n"
             write_text(metrics_path, metrics)
         if step % tcfg.checkpoint_interval == 0:
-            model.save(os.path.join(out_dir, f"ckpt_{step:06d}.sshr"))
+            files.append(os.path.join(out_dir, f"ckpt_{step:06d}.sshr"))
+            model.save(files[-1])
     final_path = os.path.join(out_dir, "final.sshr")
     model.save(final_path)
     return {
         "checkpoint": final_path,
         "metrics": metrics_path,
+        "files": files + [final_path],
         "skipped_utterances": skipped,
         "last_eval": last_eval,
         "dev": dev if tcfg.steps else evaluate_model(model, dev_utts),
@@ -177,7 +180,9 @@ def train(model_cfg, train_cfg, corpus_dir, out_dir) -> dict:
 
 def run_single_experiment(model_cfg: dict, train_cfg: dict, corpus_dir, run_dir) -> dict:
     """Train one configuration, then score test (dev was scored at the
-    final step); the unit of work the ablation ladder fans out."""
+    final step); the unit of work the ablation ladder fans out. Returns the
+    scores written to ``eval.json``, plus every file the run wrote
+    (``files``)."""
     summary = train(model_cfg, train_cfg, corpus_dir, run_dir)
     model = SshrModel.load(summary["checkpoint"])
     dev = summary["dev"]
@@ -188,5 +193,6 @@ def run_single_experiment(model_cfg: dict, train_cfg: dict, corpus_dir, run_dir)
         "lid_acc": test["lid_acc"],
         "skipped_utterances": summary["skipped_utterances"],
     }
-    write_json(os.path.join(run_dir, "eval.json"), result)
-    return result
+    eval_path = os.path.join(run_dir, "eval.json")
+    write_json(eval_path, result)
+    return {**result, "files": summary["files"] + [eval_path]}

@@ -8,8 +8,6 @@ inside the 2000-step budget the criteria allow.
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -23,7 +21,7 @@ from sshr.evalkit import apply_variant, run_ablation
 from sshr.gradcheck import REL_TOL, gradcheck_suite
 from sshr.model import SshrModel, default_model_config, total_loss
 from sshr.probe import collect_layer_data, lid_probe, mutual_information, probe_all_layers, write_report
-from sshr.trainer import run_single_experiment, train
+from sshr.trainer import train
 
 PINNED_SEEDS = (1, 2, 3)
 PINNED_STEPS = 600  # converges well inside the 2000-step budget
@@ -45,22 +43,15 @@ def default_corpus(tmp_path_factory):
     return out
 
 
-def _timed_run(model_cfg, train_cfg, corpus_dir, run_dir):
-    """``run_single_experiment`` in a pool worker: its result and its own
-    wall time."""
-    started = time.perf_counter()
-    res = run_single_experiment(model_cfg, train_cfg, corpus_dir, run_dir)
-    return res, time.perf_counter() - started
-
-
 @pytest.fixture(scope="session")
 def pinned_runs(default_corpus, tmp_path_factory):
-    """B0 and C4 trained on the default corpus for each pinned seed.
+    """B0 and C4 trained on the default corpus for each pinned seed, by one
+    ``run_ablation`` call.
 
-    The six runs share a pool of up to two spawned workers, each started
+    The six runs share its pool of up to two spawned workers, each started
     with one BLAS thread (two per worker would oversubscribe two cores).
-    ``elapsed_sec`` sums the runs' own wall times, so it stays the
-    training time of six runs.
+    At most ``jobs`` runs overlap, so ``elapsed_sec``, ``jobs`` times the
+    call's wall time, bounds the sum of the six runs' own wall times.
     """
     out = tmp_path_factory.mktemp("acc_runs")
     from sshr.datagen import load_corpus_spec
@@ -69,20 +60,21 @@ def pinned_runs(default_corpus, tmp_path_factory):
     vocab = Vocabulary(spec.phoneme_symbols, spec.language_names)
     base = default_model_config(vocab, spec.feature_dim)
     tcfg = {"steps": PINNED_STEPS, "eval_interval": 300, "checkpoint_interval": PINNED_STEPS}
-    runs = {}
-    for variant in ("B0", "C4"):
-        for seed in PINNED_SEEDS:
-            cfg = apply_variant(base, variant)
-            cfg["seed"] = seed
-            runs[(variant, seed)] = (cfg, dict(tcfg, seed=seed), default_corpus, out / variant / f"seed{seed}")
-    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1), mp_context=get_context("spawn")) as pool:
-        with pytest.MonkeyPatch.context() as env:  # a worker copies the environment when a submit starts it
-            for var in BLAS_THREAD_VARS:
-                env.setenv(var, "1")
-            futures = {key: pool.submit(_timed_run, *args) for key, args in runs.items()}
-        outcomes = {key: future.result() for key, future in futures.items()}
-    results = {key: {**res, "checkpoint": str(runs[key][3] / "final.sshr")} for key, (res, _) in outcomes.items()}
-    results["elapsed_sec"] = sum(elapsed for _, elapsed in outcomes.values())
+    ladder = [(variant, apply_variant(base, variant)) for variant in ("B0", "C4")]
+    jobs = min(2, os.cpu_count() or 1)
+    with pytest.MonkeyPatch.context() as env:  # a spawned worker copies the environment when it starts
+        for var in BLAS_THREAD_VARS:
+            env.setenv(var, "1")
+        started = time.perf_counter()
+        ablation = run_ablation(ladder, PINNED_SEEDS, default_corpus, out, tcfg, jobs=jobs)
+        elapsed = time.perf_counter() - started
+    assert not ablation.failures, ablation.failures
+    results = {
+        (r.variant, r.seed): {"test_per": r.test_per, "lid_acc": r.lid_acc,
+                              "checkpoint": str(out / r.variant / f"seed{r.seed}" / "final.sshr")}
+        for r in ablation.results
+    }
+    results["elapsed_sec"] = jobs * elapsed
     return results
 
 

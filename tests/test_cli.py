@@ -369,6 +369,11 @@ class TestWorkflow:
         assert model["lid_extract_layer"] == max(1, round(4 * 8 / 24))
 
 
+def files_under(out):
+    """Every file below ``out`` but the run manifest, as sorted relative paths."""
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file() and p.name != "run_manifest.json")
+
+
 class TestDeterminism:
     def test_datagen_twice_identical_primary_outputs(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"counts": {"train": 5, "dev": 2, "test": 2}})
@@ -389,6 +394,24 @@ class TestDeterminism:
         assert main(["datagen", "--seed", "2", "--out", str(out), "--config", cfg]) == 0
         outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
         assert outputs == sorted(p.name for p in out.iterdir() if p.name != "run_manifest.json")
+
+    def test_train_outputs_are_the_files_it_wrote(self, cli_corpus, tmp_path):
+        cfg = small_train_config(cli_corpus / "corpus")
+        cfg["train"]["checkpoint_interval"] = 2
+        out = tmp_path / "run"
+        assert main(["train", "--seed", "1", "--out", str(out), "--config", write_json(tmp_path / "t.json", cfg)]) == 0
+        outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+        assert outputs == files_under(out) == ["ckpt_000002.sshr", "ckpt_000004.sshr", "final.sshr", "metrics.jsonl"]
+
+    def test_ablate_outputs_are_the_files_it_wrote(self, cli_corpus, tmp_path):
+        cfg = write_json(tmp_path / "ab.json", small_train_config(cli_corpus / "corpus"))
+        ladder = write_json(tmp_path / "ladder.json", ["B0", "C1"])
+        out = tmp_path / "ab_out"
+        assert main(["ablate", "--seed", "1", "--seeds", "2", "--jobs", "2", "--out", str(out),
+                     "--config", cfg, "--ladder", ladder]) == 0
+        outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+        assert outputs == files_under(out)
+        assert len(outputs) == 2 * 2 * 4 + 2 and "C1/seed2/ckpt_000004.sshr" in outputs
 
     def test_train_twice_identical(self, cli_corpus, tmp_path):
         corpus = cli_corpus / "corpus"
@@ -416,6 +439,21 @@ class TestAblateCli:
         assert lines[1].startswith("B0,1,") and lines[2].startswith("B0-wide,1,")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["variants"]["B0-wide"]["reference"] == []
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # lr 1e30 overflows before the check fires
+    def test_failed_run_exits_2_keeping_the_reports(self, cli_corpus, tmp_path, caplog):
+        cfg = small_train_config(cli_corpus / "corpus")
+        cfg["train"]["lr"] = 1e30
+        ladder = write_json(tmp_path / "ladder.json", ["B0"])
+        out = tmp_path / "ab_out"
+        assert main(["ablate", "--seed", "1", "--seeds", "1", "--out", str(out),
+                     "--config", write_json(tmp_path / "ab.json", cfg), "--ladder", ladder]) == 2
+        assert "1 runs failed" in caplog.text
+        summary = json.loads((out / "summary.json").read_text())
+        assert [f["variant"] for f in summary["failures"]] == ["B0"] and "non-finite" in summary["failures"][0]["error"]
+        assert summary["variants"] == {}
+        assert (out / "ablation.csv").read_text().strip().count("\n") == 0  # the header alone
+        assert json.loads((out / "run_manifest.json").read_text())["outputs"] == ["ablation.csv", "summary.json"]
 
     def test_repeated_ladder_id_exits_1_before_any_run(self, cli_corpus, tmp_path, capsys):
         cfg_path = write_json(tmp_path / "ab.json", small_train_config(cli_corpus / "corpus"))

@@ -1,3 +1,4 @@
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,8 @@ from sshr.evalkit import (
     primary_reference,
     run_ablation,
 )
-from sshr.model import default_model_config
+from sshr.model import SshrModel, default_model_config
+from sshr.trainer import run_single_experiment
 
 
 class TestEditDistance:
@@ -240,7 +242,7 @@ def mini(tmp_path_factory):
 class TestAblationHarness:
     def test_single_variant_ladder(self, mini, tmp_path):
         corpus, model_cfg, train_cfg = mini
-        results = run_ablation([("B0", apply_variant(model_cfg, "B0"))], [1], corpus, tmp_path, train_cfg)
+        results = run_ablation([("B0", apply_variant(model_cfg, "B0"))], [1], corpus, tmp_path, train_cfg).results
         assert len(results) == 1
         assert results[0].variant == "B0" and results[0].seed == 1
         csv_lines = (tmp_path / "ablation.csv").read_text().strip().splitlines()
@@ -250,7 +252,7 @@ class TestAblationHarness:
     def test_repeated_variant_same_seed_identical_rows(self, mini, tmp_path):
         corpus, model_cfg, train_cfg = mini
         b0 = apply_variant(model_cfg, "B0")
-        results = run_ablation([("B0", b0), ("B0-again", b0)], [2], corpus, tmp_path, train_cfg)
+        results = run_ablation([("B0", b0), ("B0-again", b0)], [2], corpus, tmp_path, train_cfg).results
         assert len(results) == 2
         assert results[0].dev_per == results[1].dev_per
         assert results[0].test_per == results[1].test_per
@@ -262,7 +264,30 @@ class TestAblationHarness:
         corpus, model_cfg, train_cfg = mini
         broken = dict(model_cfg)
         broken["cross_taps"] = [99]  # invalid tap: the run must fail, not the harness
-        results = run_ablation([("B0", model_cfg), ("BAD", broken)], [1], corpus, tmp_path, train_cfg)
-        assert [r.variant for r in results] == ["B0"]
+        ablation = run_ablation([("B0", model_cfg), ("BAD", broken)], [1], corpus, tmp_path, train_cfg)
+        assert [r.variant for r in ablation.results] == ["B0"]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["failures"] and summary["failures"][0]["variant"] == "BAD"
+        assert ablation.failures == summary["failures"]
+
+    def test_each_seed_draws_its_own_model_in_process_or_spawned(self, mini, tmp_path):
+        corpus, model_cfg, train_cfg = mini
+        ladder = [(v, apply_variant(model_cfg, v)) for v in ("B0", "C4")]
+        serial = run_ablation(ladder, [1, 2], corpus, tmp_path / "jobs1", train_cfg, jobs=1)
+        spawned = run_ablation(ladder, [1, 2], corpus, tmp_path / "jobs2", train_cfg, jobs=2)
+        assert serial.failures == [] and spawned.failures == []
+
+        def written(out):
+            return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+        files = written(tmp_path / "jobs1")
+        assert files == written(tmp_path / "jobs2")
+        assert len(files) == 2 * 2 * 4 + 2  # ckpt, final, metrics and eval per run; csv and summary
+        assert sorted(files) == sorted(Path(p).relative_to(tmp_path / "jobs1").as_posix() for p in serial.files)
+        for variant, cfg in ladder:
+            for seed in (1, 2):
+                assert SshrModel.load(tmp_path / "jobs1" / variant / f"seed{seed}" / "final.sshr").cfg.seed == seed
+            direct = tmp_path / "direct" / variant
+            run_single_experiment(dict(cfg, seed=2), dict(train_cfg, seed=2), corpus, direct)
+            for name in ("final.sshr", "metrics.jsonl", "eval.json"):
+                assert files[f"{variant}/seed2/{name}"] == (direct / name).read_bytes(), (variant, name)
