@@ -207,7 +207,8 @@ class Ablation(NamedTuple):
 
 def run_ablation(ladder, seeds, corpus_dir, out_dir, train_cfg: dict, jobs: int = 1) -> Ablation:
     """Train and evaluate every (variant, seed) pair; failures are recorded
-    per variant and do not stop the remaining runs.
+    per variant and do not stop the remaining runs. ``files`` lists every
+    file written, a failed run's leftovers under its directory included.
 
     ``ladder`` is a list of (id, model_cfg) pairs; ``apply_variant`` gives
     a builtin variant's config. Each id owns ``<out_dir>/<id>/seed<k>``, so
@@ -252,11 +253,12 @@ def run_ablation(ladder, seeds, corpus_dir, out_dir, train_cfg: dict, jobs: int 
             pool.submit(run_single_experiment, *a).result if pool else partial(run_single_experiment, *a)
             for a in args
         ]
-        for (variant, seed, variant_cfg, _), call in zip(tasks, calls):
+        for (variant, seed, variant_cfg, run_dir), call in zip(tasks, calls):
             try:
                 outcome = call()
             except Exception as err:  # noqa: BLE001 - per-variant isolation
                 failures.append({"variant": variant, "seed": seed, "error": str(err)})
+                files += sorted(os.path.join(top, name) for top, _, names in os.walk(run_dir) for name in names)
                 continue
             files += outcome["files"]
             results.append(

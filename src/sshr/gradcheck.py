@@ -109,12 +109,10 @@ def _layer_check(kind: str):
     return make
 
 
-def _micro_model(seed, rng):
-    """Factory for a two-mechanism micro model: splice at layer 1,
-    posterior-query cross-attention after the tap at layer 2, combined loss
-    over every parameter. Its inputs are functions of ``seed`` alone: the
-    model's own initialization and ``default_rng(seed + 17)``."""
-    cfg = SshrConfig(
+def micro_config(seed: int) -> SshrConfig:
+    """A two-mechanism micro model: splice at layer 1, posterior-query
+    cross-attention after the tap at layer 2, loss weight 0.5."""
+    return SshrConfig(
         stack=StackConfig(depth=3, hidden=6, heads=2, ffn=8),
         feature_dim=4,
         vocab=Vocabulary(("pa", "pb", "pc"), ("L0", "L1")),
@@ -124,7 +122,13 @@ def _micro_model(seed, rng):
         loss_weight=0.5,
         seed=seed,
     )
-    model = SshrModel(cfg, dtype=np.float64)
+
+
+def _micro_model(seed, rng):
+    """Factory for ``micro_config``'s combined loss over every parameter.
+    Its inputs are functions of ``seed`` alone: the model's own
+    initialization and ``default_rng(seed + 17)``."""
+    model = SshrModel(micro_config(seed), dtype=np.float64)
     feats = np.random.default_rng(seed + 17).uniform(-1.0, 1.0, (5, 4))
     return (lambda: model.utterance_loss(feats, [0, 2], "L1")), dict(model.params)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tensor as tz
 from .config import Strict
-from .ctc import Vocabulary, ctc_head, ctc_loss, min_frames
+from .ctc import Vocabulary, ctc_head, ctc_loss, min_frames, solve_ctc
 from .encoder import (LayerSpec, StackConfig, allocate_params, build_stack, check_taps, cross_attention_layer,
                       init_params, init_stream, layer_layout, self_attention_layer)
 from .errors import ConfigError, CorruptDataError, SshrError
@@ -281,7 +281,12 @@ class SshrModel:
 
         Each utterance's CTC terms read its own row slice of the packed
         posteriors, so the loss and every gradient equal the mean of the
-        utterances' separate losses up to summation order.
+        utterances' separate losses up to summation order. The terms of
+        each scored posterior are solved together by one ``solve_ctc``
+        stack, bit for bit as each would be alone, and each term still
+        enters the graph through its own ``ctc_loss`` call, which adds the
+        solved loss and gradient. A term too short for its targets raises
+        from its ``ctc_loss`` before any stack is solved.
         """
         if not batch:
             raise ConfigError("batch_loss needs at least one utterance")
@@ -291,14 +296,22 @@ class SshrModel:
         posteriors = [out.final] + out.intermediates
         scored = posteriors if w != 0.0 else posteriors[:1]
         starts = [0] * len(posteriors)
-        total = None
+        terms = []  # per utterance: (posterior, first row, rows, targets) of each scored term
         for n, (_, transcript, language) in zip(lengths, batch):
-            terms = self.ctc_terms(n, transcript, language)
-            losses = [
-                ctc_loss(tz.row_slice(p, start, start + rows), targets)
-                for p, start, (rows, targets) in zip(scored, starts, terms)
-            ]
-            starts = [start + rows for start, (rows, _) in zip(starts, terms)]
+            utterance = self.ctc_terms(n, transcript, language)
+            terms.append([(p, start, rows, targets) for p, start, (rows, targets) in zip(scored, starts, utterance)])
+            starts = [start + rows for start, (rows, _) in zip(starts, utterance)]
+        for utterance in terms:
+            for p, start, rows, targets in utterance:
+                if min_frames(targets) > rows:  # the term's own op raises, before any DP work
+                    ctc_loss(tz.row_slice(p, start, start + rows), targets)
+        # one stack per posterior, so the scratch held at once is one posterior's
+        solved = [iter(solve_ctc([(p.values[start : start + rows], targets) for p, start, rows, targets in column]))
+                  for column in zip(*terms)]
+        total = None
+        for utterance in terms:
+            losses = [ctc_loss(tz.row_slice(p, start, start + rows), targets, next(column))
+                      for (p, start, rows, targets), column in zip(utterance, solved)]
             term = total_loss(losses[0], losses[1:], w)
             total = term if total is None else tz.add(total, term)
         return tz.scale(total, 1.0 / len(batch))

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import entropy_of_counts, rand_log_softmax
 from sshr import tensor as tz
-from sshr.ctc import Vocabulary, ctc_brute_force, ctc_loss, min_frames
+from sshr.ctc import Vocabulary, ctc_brute_force, ctc_loss, min_frames, solve_ctc
 from sshr.datagen import default_corpus_spec, generate_corpus, load_split
 from sshr.encoder import StackConfig, Surgery, build_stack, init_layer_params
 from sshr.evalkit import apply_variant, run_ablation
@@ -79,26 +79,29 @@ def pinned_runs(default_corpus, tmp_path_factory):
 
 
 def test_criterion_1_ctc_oracle_equivalence():
+    # each instance is scored alone through ctc_loss and again inside a
+    # ragged stack of eight through solve_ctc, the path training takes
     rng = np.random.default_rng(2024)
     started = time.perf_counter()
-    checked = 0
-    worst = 0.0
-    while checked < 200:
+    instances = []
+    while len(instances) < 200:
         t_len = int(rng.integers(1, 7))
         v = int(rng.integers(2, 6))
         n = int(rng.integers(1, 4))
         targets = [int(x) for x in rng.integers(1, v, size=n)]
         if min_frames(targets) > t_len:
             continue
-        lp = rand_log_softmax(rng, t_len, v)
-        loss = float(ctc_loss(lp, targets).values)
+        instances.append((rand_log_softmax(rng, t_len, v), targets))
+    stacked = [loss for k in range(0, len(instances), 8) for loss, _ in solve_ctc(instances[k : k + 8])]
+    worst = 0.0
+    for (lp, targets), in_stack in zip(instances, stacked):
         brute = ctc_brute_force(np.exp(lp), targets)
-        worst = max(worst, abs(math.exp(-loss) - brute))
-        checked += 1
+        for loss in (float(ctc_loss(lp, targets).values), float(in_stack)):
+            worst = max(worst, abs(math.exp(-loss) - brute))
     elapsed = time.perf_counter() - started
     report(
         1,
-        "CTC forward-backward matches brute-force enumeration on 200 random instances",
+        "CTC forward-backward matches brute-force enumeration on 200 random instances, alone and stacked",
         worst < 1e-6 and elapsed < 30.0,
         f"worst abs err {worst:.2e}, {elapsed:.1f}s",
     )

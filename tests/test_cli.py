@@ -453,7 +453,10 @@ class TestAblateCli:
         assert [f["variant"] for f in summary["failures"]] == ["B0"] and "non-finite" in summary["failures"][0]["error"]
         assert summary["variants"] == {}
         assert (out / "ablation.csv").read_text().strip().count("\n") == 0  # the header alone
-        assert json.loads((out / "run_manifest.json").read_text())["outputs"] == ["ablation.csv", "summary.json"]
+        # the failed run's own files are listed too: it wrote its metric log before the loss overflowed
+        assert (out / "B0" / "seed1" / "metrics.jsonl").is_file()
+        outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+        assert outputs == ["B0/seed1/metrics.jsonl", "ablation.csv", "summary.json"]
 
     def test_repeated_ladder_id_exits_1_before_any_run(self, cli_corpus, tmp_path, capsys):
         cfg_path = write_json(tmp_path / "ab.json", small_train_config(cli_corpus / "corpus"))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import mutated_bytes, oversized_checkpoint, rand_log_softmax, resealed, tiny_model_config, tiny_vocab
 from sshr import tensor as tz
 from sshr.ctc import ctc_loss, min_frames
-from sshr.errors import ConfigError, CorruptDataError, SshrError
+from sshr.errors import ConfigError, CorruptDataError, CtcInfeasibleError, SshrError
 from sshr.evalkit import apply_variant
 from sshr.model import (SshrConfig, SshrModel, default_model_config, extract_and_splice_lid_frame, parameter_count,
                         total_loss)
@@ -584,6 +584,44 @@ class TestPackedEquivalence:
             for name, p in model.params.items():  # a parameter no loss reaches has a zero gradient
                 assert relative_error(packed_grads[name], p.grad) <= 1e-6, name
 
+    def test_ragged_batch_loss_matches_finite_differences(self):
+        # three utterances of different lengths, so each posterior's stack
+        # is ragged in frames and in targets, on the gradcheck micro model
+        from sshr.gradcheck import REL_TOL, check_scalar_graph, micro_config
+
+        model = SshrModel(micro_config(0), dtype=np.float64)
+        rng = np.random.default_rng(23)
+        batch = [(rng.uniform(-1.0, 1.0, (n, 4)), transcript, lang)
+                 for n, transcript, lang in ((5, [0, 2], "L1"), (2, [1], "L0"), (7, [2, 2, 0], "L1"))]
+        assert all(model.feasible(len(f), t, lang) for f, t, lang in batch)
+        assert check_scalar_graph(lambda: model.batch_loss(batch), dict(model.params)) < REL_TOL
+
+    def test_one_infeasible_utterance_raises_from_its_ctc_loss_before_any_dp(self, monkeypatch):
+        import sshr.model
+
+        model = SshrModel(tiny_model_config())
+        rng = np.random.default_rng(8)
+        batch = [(rng.normal(size=(n, 4)).astype(np.float32), transcript, "L0")
+                 for n, transcript in ((6, [0, 1]), (2, [0, 1, 2]), (5, [3]))]
+        assert [model.feasible(len(f), t, lang) for f, t, lang in batch] == [True, False, True]
+        raised, real_ctc_loss = [], sshr.model.ctc_loss
+
+        def ctc_loss_spy(*args, **kwargs):
+            try:
+                return real_ctc_loss(*args, **kwargs)
+            except CtcInfeasibleError as err:
+                raised.append(str(err))
+                raise
+
+        def no_dp(items):
+            raise AssertionError("a stack was solved before the infeasible term raised")
+
+        monkeypatch.setattr(sshr.model, "ctc_loss", ctc_loss_spy)
+        monkeypatch.setattr(sshr.model, "solve_ctc", no_dp)
+        with pytest.raises(CtcInfeasibleError, match=r"2 frames cannot emit 3 targets \(needs at least 3\)") as err:
+            model.batch_loss(batch)
+        assert raised == [str(err.value)]
+
     def test_float32_gradients_keep_parameter_dtype(self):
         # backward casts each arriving gradient to its parent's dtype; the
         # float64 gradient of log_softmax_rows must not reach the parameters
@@ -724,6 +762,17 @@ class TestBenchmarkContract:
             "self_attention_layer": model.depth - taps,
             "cross_attention_layer": taps,
         }
+
+    def test_infeasible_term_counts_once_at_ctc_loss(self):
+        model = SshrModel(tiny_model_config())
+        rng = np.random.default_rng(9)
+        batch = [(rng.normal(size=(n, 4)).astype(np.float32), transcript, "L1")
+                 for n, transcript in ((7, [0, 2]), (1, [1, 1]))]
+        tracer = self._tracer().Tracer()
+        with tracer.installed(), tracer.recording("unit"), pytest.raises(CtcInfeasibleError):
+            model.batch_loss(batch)
+        assert tracer.counts["ctc.ctc_loss.infeasible"] == 1
+        assert sum(span[0] == "ctc.ctc_loss" for span in tracer.spans) == 1
 
     def test_traced_c4_step_and_decode_record_every_layer_span(self):
         """Each target the benchmark reports per layer is a function the
